@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 
 @dataclass(frozen=True)

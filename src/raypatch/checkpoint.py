@@ -6,23 +6,25 @@ Layout (magic RPCK, integers little-endian):
     u32 n_entries
     per entry: u32 name_len | name utf8 | u32 rank | u64 dim... | f32 payload
 
-The meta JSON carries the full model config, the decoder kind, the training
-step count and the dataset seed, enough to rebuild the model object before
-filling in weights. Entries cover trainable parameters and batch-norm
-running statistics; optimizer state is deliberately not persisted. Values
-are stored as f32, which makes save -> load -> save byte-stable.
+The container (magic, version, JSON header) is ``binfile``'s. The meta JSON
+carries the full model config, the decoder kind and the training step
+count, enough to rebuild the model object before filling in weights.
+Entries cover trainable parameters and batch-norm running statistics;
+optimizer state is deliberately not persisted. Values are stored as f32,
+which makes save -> load -> save byte-stable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import struct
 
 import numpy as np
 
 from . import tensor as T
-from .model import LightFieldModel, ModelConfig
+from .binfile import read_exact, read_header, write_header
+from .model import DECODERS, LightFieldModel, ModelConfig, ModelConfigError
 
 MAGIC = b"RPCK"
 VERSION = 1
@@ -40,12 +42,8 @@ def save_checkpoint(path, model, step=0):
         "decoder": model.decoder_kind,
         "step": int(step),
     }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        write_header(fh, MAGIC, VERSION, meta)
         fh.write(struct.pack("<I", len(entries)))
         for name, value in entries:
             # parameters are Tensors, batch-norm buffers bare arrays
@@ -59,35 +57,46 @@ def save_checkpoint(path, model, step=0):
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh, n, path):
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return data
+def _check_meta(meta, path):
+    """Reject meta that would not rebuild a model, naming the offending key."""
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: meta has no 'config' object")
+    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    odd = sorted(set(config) ^ set(fields))
+    if odd:
+        raise ValueError(f"{path}: config key {odd[0]!r} is "
+                         f"{'unknown' if odd[0] in config else 'missing'}")
+    for key, kind in fields.items():  # kind: the annotation, as a string
+        allowed = (int, float) if kind == "float" else (int,)
+        if type(config[key]) not in allowed:
+            raise ValueError(f"{path}: config {key!r} has a bad value {config[key]!r}")
+    if meta.get("decoder") not in list(DECODERS):  # a list: no hashing of bad values
+        raise ValueError(f"{path}: unknown decoder {meta.get('decoder')!r}")
+    if type(meta.get("step")) is not int:
+        raise ValueError(f"{path}: 'step' is not an integer: {meta.get('step')!r}")
 
 
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes: (model, meta dict)."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        meta = json.loads(_read_exact(fh, mlen, path).decode())
-        (n_entries,) = struct.unpack("<I", _read_exact(fh, 4, path))
+        meta = read_header(fh, path, MAGIC, VERSION)
+        _check_meta(meta, path)
+        (n_entries,) = struct.unpack("<I", read_exact(fh, 4, path))
         stored = {}
         for _ in range(n_entries):
-            (nlen,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            name = _read_exact(fh, nlen, path).decode()
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
-            count = int(np.prod(shape)) if shape else 1
-            stored[name] = np.frombuffer(_read_exact(fh, 4 * count, path),
+            (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
+            name = read_exact(fh, nlen, path).decode()
+            (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
+            shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
+            stored[name] = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path),
                                          dtype="<f4").reshape(shape)
 
-    model = LightFieldModel(ModelConfig(**meta["config"]), meta["decoder"])
+    try:
+        cfg = ModelConfig(**meta["config"])
+    except ModelConfigError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    model = LightFieldModel(cfg, meta["decoder"])
     expected = dict(_named_state(model))
     if set(stored) != set(expected):
         missing = set(expected) - set(stored)

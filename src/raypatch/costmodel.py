@@ -1,10 +1,12 @@
 """Closed-form attention cost and memory model for light-field transformer decoders.
 
 Conventions:
-  * one multiply-accumulate = 2 FLOPs (applied when a report is built);
-  * attention terms count the two scaled-dot products (Q K^T and A V) of a
-    single attention stage over all heads: MACs = 2 * heads * n_q * n_kv * d_k;
-  * peak attention memory is the one materialized logit matrix of the decoder,
+  * one multiply-accumulate = 2 FLOPs;
+  * the report prices one attention stage of the encoder and one of the
+    decoder as an ``AttnProductCost`` with d_v = d_k: the two scaled-dot
+    products (Q K^T and A V) over all heads,
+    FLOPs = 2 * heads * n_q * n_kv * (d_k + d_v);
+  * peak attention memory is the decoder stage's materialized logit matrix,
     n_q * n_kv * heads * bytes_per_element.
 
 Families:
@@ -25,8 +27,6 @@ from dataclasses import dataclass, replace
 BASE_FAMILIES = ("srt", "osrt", "define")
 RP_FAMILIES = ("rp-srt", "rp-osrt", "rp-define")
 FAMILIES = BASE_FAMILIES + RP_FAMILIES
-
-MAC_TO_FLOP = 2.0
 
 
 class CostConfigError(ValueError):
@@ -92,20 +92,18 @@ def decoder_kv(cfg):
     return cfg.n_latent if cfg.base_family == "define" else encoder_tokens(cfg)
 
 
-def attn_macs(cfg):
-    """(encoder_term, decoder_term) in scaled-dot-product MACs, one stage each."""
+def attention_stages(cfg):
+    """(encoder, decoder) ``AttnProductCost`` of one attention stage each."""
     t = encoder_tokens(cfg)
-    if cfg.base_family == "define":
-        enc = 2.0 * cfg.heads * cfg.n_latent * t * cfg.d_k
-    else:
-        enc = 2.0 * cfg.heads * t * t * cfg.d_k
-    dec = 2.0 * cfg.heads * decoder_queries(cfg) * decoder_kv(cfg) * cfg.d_k
-    return enc, dec
+    enc_q = cfg.n_latent if cfg.base_family == "define" else t
+    return (AttnProductCost(cfg.heads, enc_q, t, cfg.d_k, cfg.d_k),
+            AttnProductCost(cfg.heads, decoder_queries(cfg), decoder_kv(cfg), cfg.d_k, cfg.d_k))
 
 
 def peak_attention_bytes(cfg):
     """Bytes of the decoder's materialized logit matrix across heads."""
-    return float(decoder_queries(cfg)) * decoder_kv(cfg) * cfg.heads * cfg.bytes_per_element
+    dec = attention_stages(cfg)[1]
+    return float(dec.n_q) * dec.n_kv * dec.heads * cfg.bytes_per_element
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ class CostReport:
 
 
 def make_report(cfg):
-    enc, dec = attn_macs(cfg)
+    enc, dec = attention_stages(cfg)
     return CostReport(
         family=cfg.family,
         n_views=cfg.n_views,
@@ -138,8 +136,8 @@ def make_report(cfg):
         n_latent=cfg.n_latent if cfg.base_family == "define" else None,
         n_q_dec=decoder_queries(cfg),
         n_kv_dec=decoder_kv(cfg),
-        attn_flops_enc=enc * MAC_TO_FLOP,
-        attn_flops_dec=dec * MAC_TO_FLOP,
+        attn_flops_enc=enc.flops(),
+        attn_flops_dec=dec.flops(),
         peak_bytes=peak_attention_bytes(cfg),
     )
 
@@ -209,15 +207,14 @@ class ConvCost:
 
 @dataclass(frozen=True)
 class UpsampleCost:
-    """Bilinear 2x interpolation priced at 8 FLOPs per output element; nearest is free."""
+    """Bilinear 2x interpolation, 8 FLOPs per output element (nearest is not priced)."""
 
     c: int
     out_h: int
     out_w: int
-    bilinear: bool = True
 
     def flops(self):
-        return 8.0 * self.c * self.out_h * self.out_w if self.bilinear else 0.0
+        return 8.0 * self.c * self.out_h * self.out_w
 
 
 def full_model_flops(layers):
@@ -225,7 +222,7 @@ def full_model_flops(layers):
     return float(sum(layer.flops() for layer in layers))
 
 
-def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, ff_mult=2, with_ff=True):
+def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_ff=True):
     """Layers of one attention block: Q/K/V/out projections, products, feed-forward."""
     layers = [
         LinearCost(n_q, d_model, heads * d_k),
@@ -235,7 +232,7 @@ def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, ff_mult=2, with_ff
         LinearCost(n_q, heads * d_v, d_model),
     ]
     if with_ff:
-        hidden = ff_mult * d_model
+        hidden = 2 * d_model  # FeedForward's hidden width
         layers += [LinearCost(n_q, d_model, hidden), LinearCost(n_q, hidden, d_model)]
     return layers
 

@@ -13,18 +13,21 @@ is documented next to the writer.
 
 from __future__ import annotations
 
-import json
+import io
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import read_header, write_header
 from .geometry import CameraIntrinsics, CameraPose, patch_centers, PatchGrid, unproject
 
 RIG_RADIUS = 2.5
 RIG_HEIGHT = 0.8
 VFOV_DEG = 45.0
 FLOOR_RADIUS = 4.0
+RIG_VIEWS = 3
 # sqrt((RIG_RADIUS + FLOOR_RADIUS)^2 + RIG_HEIGHT^2) rounded up: no valid hit is farther
 DEPTH_BOUND = 7.0
 
@@ -69,11 +72,6 @@ class ViewSample:
     intrinsics: CameraIntrinsics
     pose: CameraPose
 
-    @property
-    def mask(self):
-        """True where depth is valid."""
-        return np.isfinite(self.depth)
-
 
 def generate_scene(seed):
     """Deterministic scene from one integer seed: 2-4 primitives plus the floor."""
@@ -114,9 +112,9 @@ def rig_pose(angle_deg):
     return CameraPose(rot, origin)
 
 
-def rig_views(height, width, phase_deg=0.0):
+def rig_views(height, width):
     intr = rig_intrinsics(height, width)
-    return [(intr, rig_pose(phase_deg + i * 120.0)) for i in range(3)]
+    return [(intr, rig_pose(i * 360.0 / RIG_VIEWS)) for i in range(RIG_VIEWS)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,33 +248,41 @@ def render_scene_views(spec, height, width):
 # ---------------------------------------------------------------------------
 # dataset file format
 #
-#   magic "RPDS" | u32 version | u64 header_len | header JSON (sorted keys)
-#   then per scene, per view:
+#   binfile container: magic "RPDS" | u32 version | u64 header_len | header JSON
+#   then per scene, per view (RIG_VIEWS of them):
 #     pose 12 f64 (rotation rows, then origin) | intrinsics 4 f64 (fx fy cx cy)
 #     rgb 3*h*w f32 | depth h*w f32 (NaN = no hit) | role u8
 #   all integers little-endian
 # ---------------------------------------------------------------------------
 
-def predicted_file_size(n_scenes, height, width, seed, views_per_scene=3):
-    header = json.dumps(_header_dict(n_scenes, height, width, seed), sort_keys=True,
-                        separators=(",", ":")).encode()
+def predicted_file_size(n_scenes, height, width, seed):
+    header = write_header(io.BytesIO(), MAGIC, VERSION,
+                          _header_dict(n_scenes, height, width, seed))
     per_view = 12 * 8 + 4 * 8 + 3 * height * width * 4 + height * width * 4 + 1
-    return 4 + 4 + 8 + len(header) + n_scenes * views_per_scene * per_view
+    return header + n_scenes * RIG_VIEWS * per_view
 
 
 def _header_dict(n_scenes, height, width, seed):
     return {"h": height, "n_scenes": n_scenes, "seed": seed, "w": width}
 
 
+_HEADER_MIN = {"h": 1, "n_scenes": 0, "seed": 0, "w": 1}  # field -> smallest valid value
+
+
+def _check_header(header, path):
+    if set(header) != set(_HEADER_MIN):
+        raise ValueError(f"{path}: header fields {sorted(header)}, not {sorted(_HEADER_MIN)}")
+    for key, low in _HEADER_MIN.items():
+        if type(header[key]) is not int or header[key] < low:
+            raise ValueError(f"{path}: header {key!r} is {header[key]!r}")
+
+
 def make_dataset(path, n_scenes, height, width, seed):
     """Render ``n_scenes`` procedural scenes (scene i uses seed ``seed + i``) to ``path``."""
+    header = _header_dict(n_scenes, height, width, seed)
+    _check_header(header, path)  # write nothing that load_dataset would refuse
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        header = json.dumps(_header_dict(n_scenes, height, width, seed), sort_keys=True,
-                            separators=(",", ":")).encode()
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
+        write_header(fh, MAGIC, VERSION, header)
         for i in range(n_scenes):
             spec = generate_scene(seed + i)
             for view in render_scene_views(spec, height, width):
@@ -296,17 +302,17 @@ def _write_view(fh, view):
 def load_dataset(path):
     """Read an RPDS file back: (header dict, scenes as lists of ViewSample)."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a scene dataset (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
+        header = read_header(fh, path, MAGIC, VERSION)
+        _check_header(header, path)
         h, w = header["h"], header["w"]
+        size = os.fstat(fh.fileno()).st_size
+        expected = predicted_file_size(header["n_scenes"], h, w, header["seed"])
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, but its header describes {expected}")
+        # the size matches, so every read below returns all it asks for
         scenes = []
         for _ in range(header["n_scenes"]):
-            views = [_read_view(fh, h, w) for _ in range(3)]
+            views = [_read_view(fh, h, w) for _ in range(RIG_VIEWS)]
             scenes.append(views)
         return header, scenes
 

@@ -103,20 +103,6 @@ def unproject(intrinsics, pose, pixels):
     return d_world / np.linalg.norm(d_world, axis=1, keepdims=True)
 
 
-def project(intrinsics, pose, points):
-    """World points -> (pixels [n, 2], camera-frame depth [n]).
-
-    Inverse of unproject composed with travel along the ray; points behind
-    the camera get negative depth.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    cam = (pts - pose.origin) @ pose.rotation  # R^T (p - o)
-    z = cam[:, 2]
-    u = intrinsics.fx * cam[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * cam[:, 1] / z + intrinsics.cy
-    return np.stack([u, v], axis=1), z
-
-
 def fourier_encode(values, n_freq):
     """Sinusoidal features per component, frequencies pi * 2^0 .. pi * 2^{F-1}.
 
@@ -142,9 +128,9 @@ def build_queries(intrinsics, pose, grid, f_origin=10, f_dir=10, scene_radius=3.
     """Fourier-encoded (origin, direction) rows for every patch of a target view.
 
     Returns a Tensor [n_patches, 6*f_origin + 6*f_dir], rows in the same
-    row-major patch order as ``patch_centers`` / ``assemble_patches``. The
-    origin is divided by ``scene_radius`` before encoding to keep the
-    encoding arguments within one period.
+    row-major patch order as ``patch_centers``. The origin is divided by
+    ``scene_radius`` before encoding to keep the encoding arguments within
+    one period.
     """
     centers = patch_centers(grid)
     dirs = unproject(intrinsics, pose, centers)
@@ -164,25 +150,3 @@ def ray_feature_map(intrinsics, pose, height, width, f_origin=10, f_dir=10, scen
     grid = PatchGrid(height, width, 1)
     q = build_queries(intrinsics, pose, grid, f_origin, f_dir, scene_radius)
     return q.data.reshape(height, width, -1).transpose(2, 0, 1).copy()
-
-
-def split_patches(image, k):
-    """[c, h, w] -> [n_patches, c, k, k] in row-major patch order (bit-exact)."""
-    img = np.asarray(image)
-    if img.ndim != 3:
-        raise GridError(f"expected [c, h, w], got shape {img.shape}")
-    c, h, w = img.shape
-    grid = PatchGrid(h, w, k)  # validates divisibility
-    tiles = img.reshape(c, grid.rows, k, grid.cols, k)
-    return np.ascontiguousarray(tiles.transpose(1, 3, 0, 2, 4).reshape(grid.n_patches, c, k, k))
-
-
-def assemble_patches(patches, grid):
-    """Inverse of ``split_patches``: [n_patches, c, k, k] -> [c, h, w]."""
-    p = np.asarray(patches)
-    if p.ndim != 4 or p.shape[0] != grid.n_patches or p.shape[2:] != (grid.k, grid.k):
-        raise GridError(f"patches shape {p.shape} does not match grid "
-                        f"{grid.height}x{grid.width}/k={grid.k}")
-    c = p.shape[1]
-    tiles = p.reshape(grid.rows, grid.cols, c, grid.k, grid.k)
-    return np.ascontiguousarray(tiles.transpose(2, 0, 3, 1, 4).reshape(c, grid.height, grid.width))

@@ -11,15 +11,15 @@ where the two variants differ:
   the patch center), then reconstructs pixels with a small upsampling CNN.
   Attention cost and peak attention memory drop by exactly k^2.
 
-Every model answers ``layer_spec()`` with the cost-model layer list that
-mirrors its executed tensor ops one for one, so the instrumented FLOP
-counter and the analytic model can be compared directly.
+The encoder and each decoder answer ``layer_spec()`` with the cost-model
+layer list that mirrors their executed tensor ops one for one, so the
+instrumented FLOP counter and the analytic model can be compared directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,12 +356,6 @@ class LightFieldModel:
 
     def named_buffers(self):
         return self.encoder.buffers() + self.decoder.buffers()
-
-    def layer_spec(self, n_views=1, n_kv=None):
-        """Analytic cost layers for one forward pass over ``n_views`` inputs."""
-        if n_kv is None:
-            n_kv = n_views * self.cfg.tokens_per_view()
-        return self.encoder.layer_spec(n_views) + self.decoder.layer_spec(n_kv)
 
 
 # ---------------------------------------------------------------------------

@@ -93,36 +93,8 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the free functions hold the real logic
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def backward(self):
-        backward(self)
 
 
 def parameter(data):
@@ -189,8 +161,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if _as_scalar(b):
-        return add(a, -float(b))
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
@@ -236,39 +206,10 @@ def bias_add_rows(x, b):
     return out
 
 
-def bias_add_channels(x, b):
-    """[c, h, w] + [c]: per-channel bias for conv layers."""
-    if x.data.ndim != 3 or b.data.ndim != 1 or x.shape[0] != b.shape[0]:
-        raise DimensionError(f"bias_add_channels: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data[:, None, None], requires_grad=x.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=(1, 2)))
-
-    _record(out, bwd)
-    return out
-
-
 def leaky_relu(x, slope=0.2):
     mask = x.data >= 0
     out = Tensor(np.where(mask, x.data, slope * x.data), requires_grad=x.requires_grad)
     _record(out, lambda g: _accumulate(x, np.where(mask, g, slope * g)))
-    return out
-
-
-def exp(x):
-    out = Tensor(np.exp(x.data), requires_grad=x.requires_grad)
-    y = out.data
-    _record(out, lambda g: _accumulate(x, g * y))
-    return out
-
-
-def log(x):
-    if np.any(x.data <= 0.0):
-        raise NumericError("log of non-positive value")
-    out = Tensor(np.log(x.data), requires_grad=x.requires_grad)
-    _record(out, lambda g: _accumulate(x, g / x.data))
     return out
 
 

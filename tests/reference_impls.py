@@ -121,6 +121,21 @@ def unproject_pixel_naive(u, v, fx, fy, cx, cy, rot):
     return d_world / np.linalg.norm(d_world)
 
 
+def project(intrinsics, pose, points):
+    """World points -> (pixels [n, 2], camera-frame depth [n]), one point at a time.
+
+    The inverse of unprojection composed with travel along the ray; points
+    behind the camera get negative depth.
+    """
+    pixels, depth = [], []
+    for p in np.asarray(points, dtype=np.float64).reshape(-1, 3):
+        cam = pose.rotation.T @ (p - pose.origin)
+        pixels.append([intrinsics.fx * cam[0] / cam[2] + intrinsics.cx,
+                       intrinsics.fy * cam[1] / cam[2] + intrinsics.cy])
+        depth.append(cam[2])
+    return np.array(pixels), np.array(depth)
+
+
 def trace_ray_scalar(spec, origin, direction, floor_radius=4.0):
     """One ray against every primitive with textbook formulas: (t, hit_id).
 

@@ -1,5 +1,8 @@
 """Checkpoint wire format: fidelity, byte stability, tamper rejection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,3 +76,32 @@ def test_checkpoints_with_same_seed_are_identical(tmp_path):
     ckpt.save_checkpoint(p1, M.LightFieldModel(small_cfg(seed=9), "pixel"))
     ckpt.save_checkpoint(p2, M.LightFieldModel(small_cfg(seed=9), "pixel"))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _with_meta(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its meta JSON passed through ``edit``."""
+    raw = src.read_bytes()
+    (json_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + json_len])
+    edit(meta)
+    blob = json.dumps(meta).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + json_len:])
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m["config"].update(colour=3), "colour"),
+    (lambda m: m["config"].pop("d_model"), "d_model"),
+    (lambda m: m["config"].update(heads="two"), "heads"),
+    (lambda m: m.update(step=2.5), "step"),
+    (lambda m: m.update(decoder="nerf"), "nerf"),
+    (lambda m: m.pop("decoder"), "decoder"),
+    (lambda m: m["config"].update(k=3), "power of two"),
+], ids=["unknown_key", "missing_key", "bad_value", "float_step", "unknown_decoder",
+        "no_decoder", "inconsistent_config"])
+def test_rejects_bad_meta_naming_path_and_key(tmp_path, edit, key):
+    good, bad = tmp_path / "good.rpck", tmp_path / "bad.rpck"
+    ckpt.save_checkpoint(good, M.LightFieldModel(small_cfg(), "raypatch"), step=2)
+    _with_meta(good, bad, edit)
+    with pytest.raises(ValueError) as exc:
+        ckpt.load_checkpoint(bad)
+    assert str(bad) in str(exc.value) and key in str(exc.value)

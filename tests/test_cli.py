@@ -170,3 +170,59 @@ class TestBenchCommand:
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "speedup vs pixel decoding at k=4" in out
+
+
+class TestBadInvocations:
+    """Bad arguments and bad files: exit 2, an ``error:`` line, no traceback."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def files(tmp_path_factory):
+        d = tmp_path_factory.mktemp("bad")
+        paths = {"ds": d / "ok.rpds", "one": d / "one.rpds", "none": d / "none.rpds",
+                 "cut_ds": d / "cut.rpds", "ck": d / "ok.rpck", "cut_ck": d / "cut.rpck"}
+        for name, n in (("ds", 2), ("one", 1), ("none", 0)):
+            ds.make_dataset(paths[name], n_scenes=n, height=8, width=8, seed=0)
+        paths["cut_ds"].write_bytes(paths["ds"].read_bytes()[:-100])
+        cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
+                            n_freq_origin=2, n_freq_dir=2, feature_channels=8)
+        ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
+        paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
+        return paths
+
+    TRAIN = ["train", "--steps", "1", "--k", "2", "--d-model", "16", "--d-k", "8",
+             "--d-v", "8", "--feature-channels", "8", "--freq-origin", "2",
+             "--freq-dir", "2", "--dataset"]
+    RENDER = ["render", "--out-rgb", "{x}", "--checkpoint"]
+
+    # argv with {placeholders} for the fixture files, and what the error line names
+    CASES = {
+        "cost_sweep_without_values": (["cost", "--sweep", "k"], "--values"),
+        "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
+                                    "'n_scenes' is -1"),
+        "train_log_every_0": (TRAIN + ["{ds}", "--log-every", "0"], "--log-every"),
+        "train_one_scene": (TRAIN + ["{one}"], "{one}"),
+        "train_no_scene": (TRAIN + ["{none}"], "{none}"),
+        "train_cut_dataset": (TRAIN + ["{cut_ds}"], "{cut_ds}"),
+        "train_missing_dataset": (TRAIN + ["{ds}.gone"], "{ds}.gone"),
+        "render_scene_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--scene", "9"],
+                                      "--scene"),
+        "render_view_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--view", "3"],
+                                     "--view"),
+        "render_cut_checkpoint": (RENDER + ["{cut_ck}", "--dataset", "{ds}"], "{cut_ck}"),
+        "render_cut_dataset": (RENDER + ["{ck}", "--dataset", "{cut_ds}"], "{cut_ds}"),
+        "verify_cut_checkpoint": (["verify-ckpt", "--checkpoint", "{cut_ck}"], "{cut_ck}"),
+        "verify_dataset_as_checkpoint": (["verify-ckpt", "--checkpoint", "{ds}"], "{ds}"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_error_line(self, files, tmp_path, capsys, case):
+        argv, names = self.CASES[case]
+        subst = {name: str(path) for name, path in files.items()}
+        subst["x"] = str(tmp_path / "x.ppm")
+        argv = [a.format(**subst) for a in argv]
+        assert cli.main(argv) == cli.EXIT_BAD_ARGS
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert lines and names.format(**subst) in lines[0], err

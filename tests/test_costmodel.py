@@ -34,18 +34,23 @@ class TestScalingLaws:
         base = C.CostConfig(family[3:], 128, 128)
         rp = C.CostConfig(family, 128, 128, k=k)
         assert C.decoder_queries(base) == C.decoder_queries(rp) * k * k
-        assert C.attn_macs(base)[1] == C.attn_macs(rp)[1] * k * k
+        assert C.make_report(base).attn_flops_dec == C.make_report(rp).attn_flops_dec * k * k
         assert C.peak_attention_bytes(base) == C.peak_attention_bytes(rp) * k * k
+
+    def test_srt_decoder_flops_exact(self):
+        # 1228800 pixel queries against 19200 tokens, 8 heads, d_k = d_v = 64
+        r = C.make_report(C.CostConfig("srt", 960, 1280))
+        assert r.attn_flops_dec == 2.0 * 8 * 1228800 * 19200 * (64 + 64) == 48318382080000.0
 
     def test_encoder_term_unaffected_by_k(self):
         base = C.CostConfig("srt", 128, 128)
         rp = C.CostConfig("rp-srt", 128, 128, k=8)
-        assert C.attn_macs(base)[0] == C.attn_macs(rp)[0]
+        assert C.make_report(base).attn_flops_enc == C.make_report(rp).attn_flops_enc
 
     def test_srt_decoder_term_16x_on_resolution_doubling(self):
         for h, w in [(64, 64), (120, 160), (128, 256)]:
-            a = C.attn_macs(C.CostConfig("srt", h, w))[1]
-            b = C.attn_macs(C.CostConfig("srt", 2 * h, 2 * w))[1]
+            a = C.make_report(C.CostConfig("srt", h, w)).attn_flops_dec
+            b = C.make_report(C.CostConfig("srt", 2 * h, 2 * w)).attn_flops_dec
             assert b / a == 16.0
 
     def test_define_memory_slope_one_in_resolution(self):
@@ -73,10 +78,10 @@ class TestScalingLaws:
                (b.attn_flops_enc, b.attn_flops_dec, b.peak_bytes)
 
     def test_speedup_nondecreasing_in_k(self):
-        base = C.attn_macs(C.CostConfig("srt", 128, 128))[1]
+        base = C.make_report(C.CostConfig("srt", 128, 128)).attn_flops_dec
         speedups = []
         for k in (2, 4, 8, 16):
-            rp = C.attn_macs(C.CostConfig("rp-srt", 128, 128, k=k))[1]
+            rp = C.make_report(C.CostConfig("rp-srt", 128, 128, k=k)).attn_flops_dec
             speedups.append(base / rp)
         assert all(b > a for a, b in zip(speedups, speedups[1:]))
 

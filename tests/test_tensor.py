@@ -224,25 +224,18 @@ class TestElementwise:
         with pytest.raises(T.DimensionError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
-    def test_log_domain(self):
-        with pytest.raises(T.NumericError):
-            T.log(Tensor(np.array([1.0, 0.0])))
-
     def test_scalar_ops(self, rng):
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(T.mul(Tensor(x), 2.0).data, 2 * x)
         np.testing.assert_allclose(T.add(Tensor(x), -1.5).data, x - 1.5)
 
-    @pytest.mark.parametrize("name", ["leaky_relu", "exp", "log", "absolute", "mean_all",
-                                      "take", "concat", "reshape", "transpose",
-                                      "bias_add_rows", "bias_add_channels"])
+    @pytest.mark.parametrize("name", ["leaky_relu", "absolute", "mean_all", "take", "concat",
+                                      "reshape", "transpose", "bias_add_rows"])
     def test_grads(self, rng, name):
         w = Tensor(rng.standard_normal((4, 6)))
         x = leaf(rng, 4, 6)
         cases = {
             "leaky_relu": lambda t: T.sum_all(T.mul(T.leaky_relu(t), w)),
-            "exp": lambda t: T.sum_all(T.mul(T.exp(t), w)),
-            "log": lambda t: T.sum_all(T.mul(T.log(T.exp(t)), w)),
             "absolute": lambda t: T.sum_all(T.mul(T.absolute(t), w)),
             "mean_all": lambda t: T.mean_all(T.mul(t, w)),
             "take": lambda t: T.sum_all(T.take(t, np.array([0, 5, 11, 23, 23]))),
@@ -250,11 +243,8 @@ class TestElementwise:
             "reshape": lambda t: T.sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
             "transpose": lambda t: T.sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
             "bias_add_rows": lambda t: T.sum_all(T.mul(T.bias_add_rows(t, bias_r), w)),
-            "bias_add_channels": lambda t: T.sum_all(T.bias_add_channels(
-                T.reshape(t, (4, 2, 3)), bias_c)),
         }
         bias_r = Tensor(rng.standard_normal(6))
-        bias_c = Tensor(rng.standard_normal(4))
         w_cat = Tensor(rng.standard_normal((4, 12)))
         w_flat = Tensor(rng.standard_normal((2, 12)))
         w_t = Tensor(rng.standard_normal((6, 4)))
@@ -272,7 +262,7 @@ class TestGraphSemantics:
     def test_unused_branch_zero_grad(self, rng):
         x = leaf(rng, 3)
         z = leaf(rng, 3)
-        _unused = T.exp(z)
+        _unused = T.absolute(z)
         y = T.sum_all(x)
         T.backward(y)
         np.testing.assert_array_equal(x.grad, np.ones(3))
