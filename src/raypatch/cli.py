@@ -7,8 +7,9 @@ Subcommands:
     train        fit a model on a dataset, log progress, save a checkpoint
     render       decode one view from a checkpoint to PPM (+ 16-bit PGM depth)
     gradcheck    run the finite-difference gradient battery
-    bench        wall-clock decoder comparison on synthetic latents
     verify-ckpt  checkpoint byte-stability and name audit
+
+Speed is measured by the benchmark, ``perfbench/run.py``, not by a subcommand.
 
 Exit codes: 0 success, 1 a check failed, 2 bad arguments or config,
 3 numeric failure (non-finite loss). ``RAYPATCH_SEED`` provides the default
@@ -21,7 +22,6 @@ import argparse
 import os
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -193,52 +193,6 @@ def gradcheck_battery(seed):
 
 
 # ---------------------------------------------------------------------------
-# decoder wall-clock bench
-# ---------------------------------------------------------------------------
-
-# saturation regime: few queries against a tall latent set, so the shared
-# K/V projections dominate and halving the query count again buys little
-BENCH_DEFAULTS = dict(height=128, width=128, d_model=1536, heads=1, d_k=1024,
-                      d_v=1024, n_kv=16384, chunk=2048, repeats=2,
-                      feature_channels=128)
-
-
-def run_bench(height, width, ks, d_model, heads, d_k, d_v, n_kv, chunk, repeats, seed,
-              feature_channels):
-    """Time decoder-only forwards on synthetic latents.
-
-    Returns {"arms": [per-arm dicts], "speedups": {k: t_pixel / t_k}}. Arms run
-    cheapest first so the first timed arm also warms the BLAS caches.
-    """
-    rng = np.random.default_rng(seed)
-    z = T.Tensor(rng.standard_normal((n_kv, d_model)))
-    intr = ds.rig_intrinsics(height, width)
-    pose = ds.rig_pose(0.0)
-
-    arms = [("raypatch", k) for k in sorted(ks, reverse=True)] + [("pixel", 1)]
-    results = []
-    for kind, k in arms:
-        cfg = M.ModelConfig(height=height, width=width, k=k, d_model=d_model,
-                            heads=heads, d_k=d_k, d_v=d_v,
-                            feature_channels=feature_channels, seed=seed)
-        dec = M.DECODERS[kind](cfg, np.random.default_rng(seed + 1))
-        kw = {"chunk": chunk} if kind == "pixel" else {}
-        best = float("inf")
-        for _ in range(repeats):
-            T.tape_clear()
-            t0 = time.perf_counter()
-            with T.no_grad():
-                dec(z, intr, pose, False, **kw)
-            best = min(best, time.perf_counter() - t0)
-        gflop = cm.full_model_flops(dec.layer_spec(n_kv)) / 1e9
-        n_q = (height // k) * (width // k)
-        results.append(dict(decoder=kind, k=k, n_q=n_q, seconds=best, gflop=gflop))
-    t_pixel = results[-1]["seconds"]
-    speedups = {r["k"]: t_pixel / r["seconds"] for r in results if r["decoder"] == "raypatch"}
-    return {"arms": results, "speedups": speedups}
-
-
-# ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
@@ -394,20 +348,6 @@ def cmd_gradcheck(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    ks = [int(v) for v in args.ks.split(",")]
-    out = run_bench(args.height, args.width, ks, args.d_model, args.heads, args.d_k,
-                    args.d_v, args.n_kv, args.chunk, args.repeats, args.seed,
-                    args.feature_channels)
-    for arm in out["arms"]:
-        rate = arm["gflop"] / arm["seconds"]
-        print(f"{arm['decoder']:<9} k={arm['k']:<3} queries={arm['n_q']:<6} "
-              f"{arm['seconds']:8.3f} s  {arm['gflop']:9.2f} GFLOP  {rate:6.1f} GFLOP/s")
-    for k, s in sorted(out["speedups"].items()):
-        print(f"speedup vs pixel decoding at k={k}: {s:.2f}x")
-    return EXIT_OK
-
-
 def cmd_verify_ckpt(args):
     model, meta = ckpt.load_checkpoint(args.checkpoint)
     n_params = sum(p.data.size for _, p in model.named_parameters())
@@ -499,22 +439,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=default_seed())
     p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
     p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("bench", help="wall-clock decoder comparison")
-    p.add_argument("--height", type=int, default=BENCH_DEFAULTS["height"])
-    p.add_argument("--width", type=int, default=BENCH_DEFAULTS["width"])
-    p.add_argument("--ks", default="8,16", help="comma list of patch sizes")
-    p.add_argument("--d-model", type=int, default=BENCH_DEFAULTS["d_model"])
-    p.add_argument("--heads", type=int, default=BENCH_DEFAULTS["heads"])
-    p.add_argument("--d-k", type=int, default=BENCH_DEFAULTS["d_k"])
-    p.add_argument("--d-v", type=int, default=BENCH_DEFAULTS["d_v"])
-    p.add_argument("--n-kv", type=int, default=BENCH_DEFAULTS["n_kv"])
-    p.add_argument("--chunk", type=int, default=BENCH_DEFAULTS["chunk"])
-    p.add_argument("--repeats", type=int, default=BENCH_DEFAULTS["repeats"])
-    p.add_argument("--feature-channels", type=int,
-                   default=BENCH_DEFAULTS["feature_channels"])
-    p.add_argument("--seed", type=int, default=default_seed())
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify-ckpt", help="checkpoint integrity check")
     p.add_argument("--checkpoint", required=True)

@@ -28,6 +28,7 @@ RIG_HEIGHT = 0.8
 VFOV_DEG = 45.0
 FLOOR_RADIUS = 4.0
 RIG_VIEWS = 3
+RIG_ROLES = (0,) + (1,) * (RIG_VIEWS - 1)  # view 0 is the encoder input, the rest targets
 # sqrt((RIG_RADIUS + FLOOR_RADIUS)^2 + RIG_HEIGHT^2) rounded up: no valid hit is farther
 DEPTH_BOUND = 7.0
 
@@ -241,7 +242,7 @@ def render_scene_views(spec, height, width):
     """The three rig views of one scene; view 0 is the encoder input."""
     views = []
     for i, (intr, pose) in enumerate(rig_views(height, width)):
-        views.append(render_view(spec, intr, pose, height, width, role=0 if i == 0 else 1))
+        views.append(render_view(spec, intr, pose, height, width, role=RIG_ROLES[i]))
     return views
 
 
@@ -311,8 +312,12 @@ def load_dataset(path):
             raise ValueError(f"{path}: {size} bytes, but its header describes {expected}")
         # the size matches, so every read below returns all it asks for
         scenes = []
-        for _ in range(header["n_scenes"]):
+        for s in range(header["n_scenes"]):
             views = [_read_view(fh, h, w) for _ in range(RIG_VIEWS)]
+            for v, (view, role) in enumerate(zip(views, RIG_ROLES)):
+                if view.role != role:
+                    raise ValueError(f"{path}: scene {s} view {v} has role {view.role}, "
+                                     f"not {role} (0 = encoder input, 1 = target)")
             scenes.append(views)
         return header, scenes
 

@@ -66,6 +66,9 @@ class ModelConfig:
             raise ModelConfigError(f"patch size must be a power of two, got {self.k}")
         if self.height % self.k or self.width % self.k:
             raise ModelConfigError(f"{self.k} does not divide {self.height}x{self.width}")
+        if self.downsamplings < 1:
+            # without a conv stage the encoder tokens are not d_model wide
+            raise ModelConfigError(f"downsamplings must be at least 1, got {self.downsamplings}")
         step = 2 ** self.downsamplings
         if self.height % step or self.width % step:
             raise ModelConfigError(
@@ -276,8 +279,8 @@ class RayPatchDecoder:
 class PixelDecoder:
     """Baseline head: one cross-attention query per pixel, MLP to the outputs.
 
-    ``chunk`` bounds how many pixel queries run through attention at once;
-    rows are independent, so chunking changes memory use, not results.
+    All h*w queries run through attention in one pass, so the decoder's
+    logit matrices are [h*w, n_kv] per head.
     """
 
     def __init__(self, cfg, rng):
@@ -287,22 +290,17 @@ class PixelDecoder:
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, cfg.out_channels)
 
-    def __call__(self, z, intrinsics, pose, training, chunk=None):
+    def __call__(self, z, intrinsics, pose, training):
         cfg = self.cfg
         grid = PatchGrid(cfg.height, cfg.width, 1)
         q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
                           cfg.scene_radius)
         flops.count_queries("decoder", grid.n_patches)
-        n = grid.n_patches
-        chunk = n if chunk is None else chunk
-        rows = []
         with flops.stage("decoder_attn"):
-            for lo in range(0, n, chunk):
-                x = self.embed(T.Tensor(q.data[lo:lo + chunk]))
-                for blk in self.blocks:
-                    x = blk(x, z)
-                rows.append(self.head2(T.leaky_relu(self.head1(x))))
-        out = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
+            x = self.embed(q)
+            for blk in self.blocks:
+                x = blk(x, z)
+            out = self.head2(T.leaky_relu(self.head1(x)))
         return T.reshape(T.transpose(out, (1, 0)),
                          (cfg.out_channels, cfg.height, cfg.width))
 
@@ -348,8 +346,8 @@ class LightFieldModel:
     def encode(self, views, training=False):
         return self.encoder(views, training)
 
-    def decode(self, z, intrinsics, pose, training=False, **kw):
-        return self.decoder(z, intrinsics, pose, training, **kw)
+    def decode(self, z, intrinsics, pose, training=False):
+        return self.decoder(z, intrinsics, pose, training)
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()

@@ -143,11 +143,7 @@ def _as_scalar(x):
 
 
 def add(a, b):
-    """Elementwise sum; scalar second operand allowed, no other broadcasting."""
-    if _as_scalar(b):
-        out = Tensor(a.data + float(b), requires_grad=a.requires_grad)
-        _record(out, lambda g: _accumulate(a, g))
-        return out
+    """Elementwise sum of two same-shape tensors; no broadcasting."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)

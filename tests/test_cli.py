@@ -1,5 +1,9 @@
 """CLI behavior: image writers, exit codes, end-to-end command flows."""
 
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,16 +164,13 @@ class TestGradcheckCommand:
         assert "matmul" in out and "raypatch_input_image" in out
 
 
-class TestBenchCommand:
-    def test_tiny_bench_runs(self, capsys):
-        code = cli.main(["bench", "--height", "16", "--width", "16",
-                         "--ks", "2,4", "--d-model", "32", "--heads", "1",
-                         "--d-k", "16", "--d-v", "16", "--n-kv", "64",
-                         "--chunk", "128", "--repeats", "1",
-                         "--feature-channels", "16", "--seed", "0"])
-        assert code == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "speedup vs pixel decoding at k=4" in out
+def test_readme_table_lists_exactly_the_subcommands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("## Subcommands", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([\w-]+)` +\|", table, flags=re.MULTILINE)
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
 
 
 class TestBadInvocations:
@@ -184,6 +185,16 @@ class TestBadInvocations:
         for name, n in (("ds", 2), ("one", 1), ("none", 0)):
             ds.make_dataset(paths[name], n_scenes=n, height=8, width=8, seed=0)
         paths["cut_ds"].write_bytes(paths["ds"].read_bytes()[:-100])
+        # role bytes end each view; encoder view 0 of scene 0 marked as a target,
+        # and target view 2 of scene 1 given a role that does not exist
+        raw = bytearray(paths["ds"].read_bytes())
+        head = ds.predicted_file_size(0, 8, 8, 0)
+        per_view = (len(raw) - head) // (2 * ds.RIG_VIEWS)
+        for name, view, role in (("role_enc", 0, 1), ("role_7", 5, 7)):
+            paths[name] = d / f"{name}.rpds"
+            flipped = raw.copy()
+            flipped[head + (view + 1) * per_view - 1] = role
+            paths[name].write_bytes(bytes(flipped))
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
@@ -205,6 +216,9 @@ class TestBadInvocations:
         "train_no_scene": (TRAIN + ["{none}"], "{none}"),
         "train_cut_dataset": (TRAIN + ["{cut_ds}"], "{cut_ds}"),
         "train_missing_dataset": (TRAIN + ["{ds}.gone"], "{ds}.gone"),
+        "train_encoder_view_as_target": (TRAIN + ["{role_enc}"], "{role_enc}: scene 0 view 0"),
+        "train_unknown_role": (TRAIN + ["{role_7}"], "{role_7}: scene 1 view 2"),
+        "train_no_downsampling": (TRAIN + ["{ds}", "--downsamplings", "0"], "downsamplings"),
         "render_scene_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--scene", "9"],
                                       "--scene"),
         "render_view_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--view", "3"],

@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(M.ModelConfigError, match="feature_channels"):
             tiny_cfg(k=4, feature_channels=6)
 
+    @pytest.mark.parametrize("downsamplings", [0, -1])
+    def test_rejects_fewer_than_one_downsampling(self, downsamplings):
+        with pytest.raises(M.ModelConfigError, match="downsamplings"):
+            tiny_cfg(downsamplings=downsamplings)
+
     def test_rejects_unknown_decoder(self):
         with pytest.raises(M.ModelConfigError, match="decoder"):
             M.LightFieldModel(tiny_cfg(), "deconv")
@@ -55,30 +60,28 @@ class TestForward:
         out = m.decode(z, targets[0].intrinsics, targets[0].pose)
         assert out.shape == (4, 8, 8)
 
-    def test_pixel_chunking_is_exact(self):
-        cfg = tiny_cfg()
-        m = M.LightFieldModel(cfg, "pixel")
-        views = scene_views()
-        inputs, targets = M.scene_to_views(views)
-        with T.no_grad():
-            z = m.encode(inputs)
-            full = m.decode(z, targets[0].intrinsics, targets[0].pose)
-            parts = m.decode(z, targets[0].intrinsics, targets[0].pose, chunk=7)
-        np.testing.assert_allclose(parts.data, full.data, atol=1e-12)
-
-    @pytest.mark.parametrize("kind,k", [("raypatch", 1), ("raypatch", 2),
-                                        ("raypatch", 4), ("pixel", 1)])
-    def test_instrumented_flops_match_layer_spec(self, kind, k):
+    @pytest.mark.parametrize("kind,k,whole_step", [
+        pytest.param(kind, k, whole_step, id=f"{kind}-{k}" + "-train_step" * whole_step)
+        for kind, k, whole_step in [("raypatch", 1, False), ("raypatch", 2, False),
+                                    ("raypatch", 4, False), ("pixel", 1, False),
+                                    ("raypatch", 1, True), ("raypatch", 4, True),
+                                    ("pixel", 1, True)]])
+    def test_instrumented_flops_match_layer_spec(self, kind, k, whole_step):
+        """One encode and one decode, or a whole train step: one encode, two decodes."""
         cfg = tiny_cfg(height=16, width=16, k=k, feature_channels=16)
         m = M.LightFieldModel(cfg, kind)
         views = scene_views(16, 16)
         inputs, targets = M.scene_to_views(views)
         T.tape_clear()
         with flops.FlopCounter() as fc:
-            z = m.encode(inputs, training=True)
-            m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
+            if whole_step:
+                M.train_step(m, views, M.Adam(m.named_parameters()))
+            else:
+                z = m.encode(inputs, training=True)
+                m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
+        decodes = 2 if whole_step else 1  # a train step decodes both target views
         analytic = full_model_flops(m.encoder.layer_spec(1) +
-                                    m.decoder.layer_spec(cfg.tokens_per_view()))
+                                    decodes * m.decoder.layer_spec(cfg.tokens_per_view()))
         assert fc.total == pytest.approx(analytic, rel=1e-12)
 
     def test_query_count_drops_by_k_squared(self):

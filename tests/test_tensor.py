@@ -227,7 +227,6 @@ class TestElementwise:
     def test_scalar_ops(self, rng):
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(T.mul(Tensor(x), 2.0).data, 2 * x)
-        np.testing.assert_allclose(T.add(Tensor(x), -1.5).data, x - 1.5)
 
     @pytest.mark.parametrize("name", ["leaky_relu", "absolute", "mean_all", "take", "concat",
                                       "reshape", "transpose", "bias_add_rows"])
