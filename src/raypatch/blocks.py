@@ -45,17 +45,17 @@ class Linear:
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
 
-def scaled_dot_attention(q, k, v):
-    """softmax(q k^T / sqrt(d_k)) v for one head.
+def scaled_dot_attention(q, k_t, v):
+    """softmax(q k^T / sqrt(d_k)) v for one head, given the key transposed.
 
-    q: [n_q, d_k], k: [n_kv, d_k], v: [n_kv, d_v] -> [n_q, d_v].
+    q: [n_q, d_k], k_t: [d_k, n_kv], v: [n_kv, d_v] -> [n_q, d_v].
     """
-    if q.shape[1] != k.shape[1]:
-        raise T.DimensionError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise T.DimensionError(f"key count {k.shape[0]} != value count {v.shape[0]}")
+    if q.shape[1] != k_t.shape[0]:
+        raise T.DimensionError(f"query dim {q.shape[1]} != key dim {k_t.shape[0]}")
+    if k_t.shape[1] != v.shape[0]:
+        raise T.DimensionError(f"key count {k_t.shape[1]} != value count {v.shape[0]}")
     scale = 1.0 / np.sqrt(q.shape[1])
-    logits = T.mul(T.matmul(q, T.transpose(k, (1, 0))), scale)
+    logits = T.mul(T.matmul(q, k_t), scale)
     return T.matmul(T.softmax_rows(logits), v)
 
 
@@ -69,13 +69,27 @@ class MultiHeadAttention:
         self.v_proj = [Linear(rng, cfg.d_model, cfg.d_v) for _ in range(cfg.heads)]
         self.out = Linear(rng, cfg.heads * cfg.d_v, cfg.d_model)
 
-    def __call__(self, x_q, x_kv):
-        if x_q.shape[1] != self.cfg.d_model or x_kv.shape[1] != self.cfg.d_model:
+    def _check_width(self, x):
+        if x.shape[1] != self.cfg.d_model:
             raise T.DimensionError("token width does not match d_model")
+
+    def _head_kv(self, h, x_kv):
+        return T.transpose(self.k_proj[h](x_kv), (1, 0)), self.v_proj[h](x_kv)
+
+    def project_kv(self, x_kv):
+        """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
+        self._check_width(x_kv)
+        return [self._head_kv(h, x_kv) for h in range(self.cfg.heads)]
+
+    def __call__(self, x_q, x_kv, kv=None):
+        """Attend from ``x_q`` to ``x_kv``; ``kv``, if given, is ``project_kv(x_kv)``."""
+        self._check_width(x_q)
+        self._check_width(x_kv)
         head_outs = []
         for h in range(self.cfg.heads):
-            head_outs.append(scaled_dot_attention(
-                self.q_proj[h](x_q), self.k_proj[h](x_kv), self.v_proj[h](x_kv)))
+            q = self.q_proj[h](x_q)
+            k_t, v = self._head_kv(h, x_kv) if kv is None else kv[h]
+            head_outs.append(scaled_dot_attention(q, k_t, v))
         return self.out(T.concat(head_outs, axis=1))
 
     def params(self, prefix):
@@ -123,10 +137,13 @@ class AttnBlock:
         self.ff = FeedForward(rng, cfg.d_model)
         self.ln2 = LayerNormParams(cfg.d_model)
 
-    def __call__(self, x_q, x_kv=None):
-        """Self-attention when x_kv is None, cross-attention otherwise."""
-        kv = x_q if x_kv is None else x_kv
-        y = self.ln1(T.add(x_q, self.mha(x_q, kv)))
+    def __call__(self, x_q, x_kv=None, kv=None):
+        """Self-attention when x_kv is None, cross-attention otherwise.
+
+        ``kv``, if given, is ``self.mha.project_kv(x_kv)``, computed earlier.
+        """
+        x_kv = x_q if x_kv is None else x_kv
+        y = self.ln1(T.add(x_q, self.mha(x_q, x_kv, kv)))
         return self.ln2(T.add(y, self.ff(y)))
 
     def params(self, prefix):

@@ -73,8 +73,9 @@ def _check_meta(meta, path):
             raise ValueError(f"{path}: config {key!r} has a bad value {config[key]!r}")
     if meta.get("decoder") not in list(DECODERS):  # a list: no hashing of bad values
         raise ValueError(f"{path}: unknown decoder {meta.get('decoder')!r}")
-    if type(meta.get("step")) is not int:
-        raise ValueError(f"{path}: 'step' is not an integer: {meta.get('step')!r}")
+    if type(meta.get("step")) is not int or meta["step"] < 0:
+        raise ValueError(f"{path}: 'step' is not an integer of at least 0: "
+                         f"{meta.get('step')!r}")
 
 
 def load_checkpoint(path):

@@ -19,6 +19,7 @@ seed everywhere a --seed flag exists.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -204,6 +205,10 @@ def split_scenes(scenes):
 
 def run_training(dataset_path, decoder, steps, lr, log_every=50, **cfg_overrides):
     """Train on a dataset file; returns (model, held-out metrics, CSV log rows)."""
+    if steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {steps}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"--lr must be a finite number above 0, got {lr}")
     if log_every < 1:
         raise ValueError(f"--log-every must be at least 1, got {log_every}")
     header, scenes = ds.load_dataset(dataset_path)

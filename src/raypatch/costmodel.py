@@ -222,15 +222,22 @@ def full_model_flops(layers):
     return float(sum(layer.flops() for layer in layers))
 
 
-def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_ff=True):
-    """Layers of one attention block: Q/K/V/out projections, products, feed-forward."""
-    layers = [
-        LinearCost(n_q, d_model, heads * d_k),
-        LinearCost(n_kv, d_model, heads * d_k),
-        LinearCost(n_kv, d_model, heads * d_v),
-        AttnProductCost(heads, n_q, n_kv, d_k, d_v),
-        LinearCost(n_q, heads * d_v, d_model),
-    ]
+def kv_projection_cost(n_kv, d_model, heads, d_k, d_v):
+    """The K and V projections of one attention block."""
+    return [LinearCost(n_kv, d_model, heads * d_k), LinearCost(n_kv, d_model, heads * d_v)]
+
+
+def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_ff=True, with_kv=True):
+    """Layers of one attention block: Q/K/V/out projections, products, feed-forward.
+
+    ``with_kv=False`` leaves out the K/V projections, for a block whose keys
+    and values were projected once for several calls.
+    """
+    layers = [LinearCost(n_q, d_model, heads * d_k)]
+    if with_kv:
+        layers += kv_projection_cost(n_kv, d_model, heads, d_k, d_v)
+    layers += [AttnProductCost(heads, n_q, n_kv, d_k, d_v),
+               LinearCost(n_q, heads * d_v, d_model)]
     if with_ff:
         hidden = 2 * d_model  # FeedForward's hidden width
         layers += [LinearCost(n_q, d_model, hidden), LinearCost(n_q, hidden, d_model)]

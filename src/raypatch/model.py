@@ -14,6 +14,10 @@ where the two variants differ:
 The encoder and each decoder answer ``layer_spec()`` with the cost-model
 layer list that mirrors their executed tensor ops one for one, so the
 instrumented FLOP counter and the analytic model can be compared directly.
+
+Without gradient recording, ``LightFieldModel.decode`` projects a token set
+to each decoder block's keys and values once and reuses them for every
+further view decoded from the same token tensor: encode once, render many.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .costmodel import (
     ConvCost,
     LinearCost,
     attention_block_cost,
+    kv_projection_cost,
     upsampling_cnn_cost,
 )
 from .geometry import PatchGrid, build_queries, query_dim, ray_feature_map
@@ -73,6 +78,15 @@ class ModelConfig:
         if self.height % step or self.width % step:
             raise ModelConfigError(
                 f"{self.downsamplings} stride-2 stages need dims divisible by {step}")
+        for name, low in (("feature_channels", 1), ("n_freq_origin", 0), ("n_freq_dir", 0),
+                          ("enc_blocks", 0), ("dec_blocks", 1)):
+            if getattr(self, name) < low:
+                raise ModelConfigError(f"{name} must be at least {low}, "
+                                       f"got {getattr(self, name)}")
+        if self.n_freq_origin + self.n_freq_dir < 1:
+            # queries and the encoder's ray channels would be empty
+            raise ModelConfigError("n_freq_origin + n_freq_dir must be at least 1, got "
+                                   f"{self.n_freq_origin} + {self.n_freq_dir}")
         if self.feature_channels % self.k:
             # the upsampling CNN halves channels log2(k) times
             raise ModelConfigError(
@@ -222,7 +236,8 @@ class RayPatchDecoder:
             ch //= 2
         self.final = Conv3x3(rng, ch, cfg.out_channels)
 
-    def __call__(self, z, intrinsics, pose, training):
+    def __call__(self, z, intrinsics, pose, training, kv=None):
+        """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
         cfg = self.cfg
         grid = PatchGrid(cfg.height, cfg.width, cfg.k)
         q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
@@ -230,8 +245,8 @@ class RayPatchDecoder:
         flops.count_queries("decoder", grid.n_patches)
         with flops.stage("decoder_attn"):
             x = self.embed(q)
-            for blk in self.blocks:
-                x = blk(x, z)
+            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
+                x = blk(x, z, blk_kv)
             feats = self.feature_head(x)
         with flops.stage("decoder_cnn"):
             fmap = T.reshape(T.transpose(feats, (1, 0)),
@@ -263,17 +278,15 @@ class RayPatchDecoder:
             out += body.buffers(f"dec.body{i}")
         return out
 
-    def layer_spec(self, n_kv):
+    def layer_spec(self, n_kv, n_views=1):
+        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
         cfg = self.cfg
         n_q = (cfg.height // cfg.k) * (cfg.width // cfg.k)
-        layers = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
-        for _ in range(cfg.dec_blocks):
-            layers += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
-                                           cfg.d_k, cfg.d_v)
-        layers.append(LinearCost(n_q, cfg.d_model, cfg.feature_channels))
-        layers += upsampling_cnn_cost(cfg.k, cfg.height, cfg.width,
-                                      cfg.feature_channels, cfg.out_channels)
-        return layers
+        view = _query_attention_cost(cfg, n_q, n_kv)
+        view.append(LinearCost(n_q, cfg.d_model, cfg.feature_channels))
+        view += upsampling_cnn_cost(cfg.k, cfg.height, cfg.width,
+                                    cfg.feature_channels, cfg.out_channels)
+        return _kv_cost(cfg, n_kv) + n_views * view
 
 
 class PixelDecoder:
@@ -290,7 +303,8 @@ class PixelDecoder:
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, cfg.out_channels)
 
-    def __call__(self, z, intrinsics, pose, training):
+    def __call__(self, z, intrinsics, pose, training, kv=None):
+        """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
         cfg = self.cfg
         grid = PatchGrid(cfg.height, cfg.width, 1)
         q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
@@ -298,8 +312,8 @@ class PixelDecoder:
         flops.count_queries("decoder", grid.n_patches)
         with flops.stage("decoder_attn"):
             x = self.embed(q)
-            for blk in self.blocks:
-                x = blk(x, z)
+            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
+                x = blk(x, z, blk_kv)
             out = self.head2(T.leaky_relu(self.head1(x)))
         return T.reshape(T.transpose(out, (1, 0)),
                          (cfg.out_channels, cfg.height, cfg.width))
@@ -313,16 +327,28 @@ class PixelDecoder:
     def buffers(self):
         return []
 
-    def layer_spec(self, n_kv):
+    def layer_spec(self, n_kv, n_views=1):
+        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
         cfg = self.cfg
         n_q = cfg.height * cfg.width
-        layers = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
-        for _ in range(cfg.dec_blocks):
-            layers += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
-                                           cfg.d_k, cfg.d_v)
-        layers += [LinearCost(n_q, cfg.d_model, 2 * cfg.d_model),
-                   LinearCost(n_q, 2 * cfg.d_model, cfg.out_channels)]
-        return layers
+        view = _query_attention_cost(cfg, n_q, n_kv)
+        view += [LinearCost(n_q, cfg.d_model, 2 * cfg.d_model),
+                 LinearCost(n_q, 2 * cfg.d_model, cfg.out_channels)]
+        return _kv_cost(cfg, n_kv) + n_views * view
+
+
+def _kv_cost(cfg, n_kv):
+    """The K/V projections of every decoder block, once per token set."""
+    return cfg.dec_blocks * kv_projection_cost(n_kv, cfg.d_model, cfg.heads, cfg.d_k, cfg.d_v)
+
+
+def _query_attention_cost(cfg, n_q, n_kv):
+    """Per view: the query embedding and the decoder blocks without their K/V."""
+    layers = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
+    for _ in range(cfg.dec_blocks):
+        layers += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
+                                       cfg.d_k, cfg.d_v, with_kv=False)
+    return layers
 
 
 DECODERS = {"raypatch": RayPatchDecoder, "pixel": PixelDecoder}
@@ -342,12 +368,32 @@ class LightFieldModel:
         names = [n for n, _ in self.named_parameters()]
         if len(names) != len(set(names)):
             raise AssertionError("duplicate parameter names")
+        self._kv_memo = (None, None)  # (last no-grad token tensor, its per-block K/V)
 
     def encode(self, views, training=False):
+        """Token set [n, d_model] of the input views.
+
+        The tokens are a snapshot of the current weights: after changing the
+        weights, encode again rather than decode tokens encoded before.
+        """
         return self.encoder(views, training)
 
     def decode(self, z, intrinsics, pose, training=False):
-        return self.decoder(z, intrinsics, pose, training)
+        """Output [out_channels, h, w] of one target view from tokens ``z``.
+
+        Without gradient recording, the decoder blocks' K/V of the last ``z``
+        decoded are kept and reused while ``z`` is handed in again (the same
+        object, not modified in place); this is why ``z`` must come from an
+        encode under the current weights. Recorded decodes project K/V
+        afresh and leave the kept ones alone.
+        """
+        if T._recording():
+            return self.decoder(z, intrinsics, pose, training)
+        if self._kv_memo[0] is not z:
+            with flops.stage("decoder_attn"):
+                kv = [blk.mha.project_kv(z) for blk in self.decoder.blocks]
+            self._kv_memo = (z, kv)
+        return self.decoder(z, intrinsics, pose, training, self._kv_memo[1])
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()

@@ -321,9 +321,10 @@ def softmax_rows(x):
         raise DimensionError("softmax_rows expects rank 2")
     if not np.all(np.isfinite(x.data)):
         raise NumericError("softmax_rows: non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    # shift, exponentiate and normalize in one logit-sized buffer
+    y = x.data - x.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def bwd(g):

@@ -23,14 +23,14 @@ class TestScaledDotAttention:
         q = rng.standard_normal((5, 4))
         k = rng.standard_normal((7, 4))
         v = rng.standard_normal((7, 3))
-        got = B.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v)).data
+        got = B.scaled_dot_attention(Tensor(q), Tensor(k.T), Tensor(v)).data
         np.testing.assert_allclose(got, attention_single_head_naive(q, k, v), atol=1e-12)
 
     def test_equal_logits_average_values(self, rng):
         # zero queries: every key scores equally, output = mean of values
         v = rng.standard_normal((6, 3))
         got = B.scaled_dot_attention(Tensor(np.zeros((2, 4))),
-                                     Tensor(rng.standard_normal((6, 4)) * 0),
+                                     Tensor(rng.standard_normal((4, 6)) * 0),
                                      Tensor(v)).data
         np.testing.assert_allclose(got, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
@@ -39,14 +39,19 @@ class TestScaledDotAttention:
         k = rng.standard_normal((9, 8))
         v = rng.standard_normal((9, 5))
         perm = rng.permutation(9)
-        a = B.scaled_dot_attention(q, Tensor(k), Tensor(v)).data
-        b = B.scaled_dot_attention(q, Tensor(k[perm]), Tensor(v[perm])).data
+        a = B.scaled_dot_attention(q, Tensor(k.T), Tensor(v)).data
+        b = B.scaled_dot_attention(q, Tensor(k[perm].T), Tensor(v[perm])).data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
-    def test_dim_mismatch(self, rng):
-        with pytest.raises(T.DimensionError):
-            B.scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+    def test_dim_mismatch(self):
+        with pytest.raises(T.DimensionError, match="key dim"):
+            B.scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 4))),
                                    Tensor(np.zeros((4, 2))))
+
+    def test_count_mismatch(self):
+        with pytest.raises(T.DimensionError, match="value count"):
+            B.scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
+                                   Tensor(np.zeros((5, 2))))
 
 
 class TestMultiHeadAttention:
@@ -62,7 +67,7 @@ class TestMultiHeadAttention:
         xq = Tensor(rng.standard_normal((4, 6)))
         xkv = Tensor(rng.standard_normal((9, 6)))
         got = mha(xq, xkv).data
-        want = B.scaled_dot_attention(xq, xkv, xkv).data
+        want = B.scaled_dot_attention(xq, Tensor(xkv.data.T), xkv).data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_output_shape(self, rng):
@@ -84,6 +89,14 @@ class TestMultiHeadAttention:
             heads.append(attention_single_head_naive(q, k, v))
         want = np.concatenate(heads, axis=1) @ mha.out.w.data + mha.out.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_projected_kv_gives_the_same_output(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        xq = Tensor(rng.standard_normal((3, 16)))
+        xkv = Tensor(rng.standard_normal((6, 16)))
+        kv = mha.project_kv(xkv)
+        assert [(k_t.shape, v.shape) for k_t, v in kv] == [((8, 6), (6, 8))] * CFG.heads
+        np.testing.assert_array_equal(mha(xq, xkv, kv).data, mha(xq, xkv).data)
 
 
 class TestAttnBlock:

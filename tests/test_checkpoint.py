@@ -93,11 +93,12 @@ def _with_meta(src, dst, edit):
     (lambda m: m["config"].pop("d_model"), "d_model"),
     (lambda m: m["config"].update(heads="two"), "heads"),
     (lambda m: m.update(step=2.5), "step"),
+    (lambda m: m.update(step=-1), "step"),
     (lambda m: m.update(decoder="nerf"), "nerf"),
     (lambda m: m.pop("decoder"), "decoder"),
     (lambda m: m["config"].update(k=3), "power of two"),
-], ids=["unknown_key", "missing_key", "bad_value", "float_step", "unknown_decoder",
-        "no_decoder", "inconsistent_config"])
+], ids=["unknown_key", "missing_key", "bad_value", "float_step", "negative_step",
+        "unknown_decoder", "no_decoder", "inconsistent_config"])
 def test_rejects_bad_meta_naming_path_and_key(tmp_path, edit, key):
     good, bad = tmp_path / "good.rpck", tmp_path / "bad.rpck"
     ckpt.save_checkpoint(good, M.LightFieldModel(small_cfg(), "raypatch"), step=2)

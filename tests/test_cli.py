@@ -198,6 +198,8 @@ class TestBadInvocations:
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
+        paths["neg_ck"] = d / "neg.rpck"
+        ckpt.save_checkpoint(paths["neg_ck"], M.LightFieldModel(cfg, "raypatch"), step=-1)
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
         return paths
 
@@ -219,6 +221,19 @@ class TestBadInvocations:
         "train_encoder_view_as_target": (TRAIN + ["{role_enc}"], "{role_enc}: scene 0 view 0"),
         "train_unknown_role": (TRAIN + ["{role_7}"], "{role_7}: scene 1 view 2"),
         "train_no_downsampling": (TRAIN + ["{ds}", "--downsamplings", "0"], "downsamplings"),
+        "train_no_feature_channels": (TRAIN + ["{ds}", "--feature-channels", "0"],
+                                      "feature_channels"),
+        "train_no_ray_frequencies": (TRAIN + ["{ds}", "--freq-origin", "0", "--freq-dir", "0"],
+                                     "n_freq_origin + n_freq_dir"),
+        "train_negative_freq_origin": (TRAIN + ["{ds}", "--freq-origin", "-1"],
+                                       "n_freq_origin"),
+        "train_negative_enc_blocks": (TRAIN + ["{ds}", "--enc-blocks", "-1"], "enc_blocks"),
+        "train_no_dec_blocks": (TRAIN + ["{ds}", "--dec-blocks", "0"], "dec_blocks"),
+        "train_negative_steps": (TRAIN + ["{ds}", "--steps", "-1"], "--steps"),
+        "train_negative_lr": (TRAIN + ["{ds}", "--lr", "-1"], "--lr"),
+        "train_zero_lr": (TRAIN + ["{ds}", "--lr", "0"], "--lr"),
+        "train_nan_lr": (TRAIN + ["{ds}", "--lr", "nan"], "--lr"),
+        "train_inf_lr": (TRAIN + ["{ds}", "--lr", "inf"], "--lr"),
         "render_scene_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--scene", "9"],
                                       "--scene"),
         "render_view_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--view", "3"],
@@ -227,6 +242,8 @@ class TestBadInvocations:
         "render_cut_dataset": (RENDER + ["{ck}", "--dataset", "{cut_ds}"], "{cut_ds}"),
         "verify_cut_checkpoint": (["verify-ckpt", "--checkpoint", "{cut_ck}"], "{cut_ck}"),
         "verify_dataset_as_checkpoint": (["verify-ckpt", "--checkpoint", "{ds}"], "{ds}"),
+        "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
+        "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

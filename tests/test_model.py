@@ -40,6 +40,25 @@ class TestConfig:
         with pytest.raises(M.ModelConfigError, match="downsamplings"):
             tiny_cfg(downsamplings=downsamplings)
 
+    @pytest.mark.parametrize("field,value", [
+        ("feature_channels", 0), ("n_freq_origin", -1), ("n_freq_dir", -1),
+        ("enc_blocks", -1), ("dec_blocks", 0)])
+    def test_rejects_field_below_its_minimum(self, field, value):
+        with pytest.raises(M.ModelConfigError, match=field):
+            tiny_cfg(**{field: value})
+
+    def test_rejects_empty_ray_encoding(self):
+        with pytest.raises(M.ModelConfigError, match="n_freq_origin \\+ n_freq_dir"):
+            tiny_cfg(n_freq_origin=0, n_freq_dir=0)
+
+    def test_accepts_the_smallest_valid_fields(self):
+        cfg = tiny_cfg(n_freq_origin=0, n_freq_dir=1, enc_blocks=0, dec_blocks=1)
+        m = M.LightFieldModel(cfg, "raypatch")
+        inputs, targets = M.scene_to_views(scene_views())
+        with T.no_grad():
+            out = m.decode(m.encode(inputs), targets[0].intrinsics, targets[0].pose)
+        assert out.shape == (4, 8, 8)
+
     def test_rejects_unknown_decoder(self):
         with pytest.raises(M.ModelConfigError, match="decoder"):
             M.LightFieldModel(tiny_cfg(), "deconv")
@@ -60,28 +79,43 @@ class TestForward:
         out = m.decode(z, targets[0].intrinsics, targets[0].pose)
         assert out.shape == (4, 8, 8)
 
-    @pytest.mark.parametrize("kind,k,whole_step", [
-        pytest.param(kind, k, whole_step, id=f"{kind}-{k}" + "-train_step" * whole_step)
-        for kind, k, whole_step in [("raypatch", 1, False), ("raypatch", 2, False),
-                                    ("raypatch", 4, False), ("pixel", 1, False),
-                                    ("raypatch", 1, True), ("raypatch", 4, True),
-                                    ("pixel", 1, True)]])
-    def test_instrumented_flops_match_layer_spec(self, kind, k, whole_step):
-        """One encode and one decode, or a whole train step: one encode, two decodes."""
+    @pytest.mark.parametrize("kind,k,mode", [
+        pytest.param(kind, k, mode, id=f"{kind}-{k}" + f"-{mode}" * bool(mode))
+        for kind, k, mode in [("raypatch", 1, ""), ("raypatch", 2, ""),
+                              ("raypatch", 4, ""), ("pixel", 1, ""),
+                              ("raypatch", 1, "train_step"), ("raypatch", 4, "train_step"),
+                              ("pixel", 1, "train_step"),
+                              ("raypatch", 1, "no_grad_views"),
+                              ("raypatch", 4, "no_grad_views"),
+                              ("pixel", 1, "no_grad_views")]])
+    def test_instrumented_flops_match_layer_spec(self, kind, k, mode):
+        """One encode and one decode; a whole train step (one encode, two recorded
+        decodes); or one encode and 1-3 no-grad decodes sharing one K/V projection."""
         cfg = tiny_cfg(height=16, width=16, k=k, feature_channels=16)
         m = M.LightFieldModel(cfg, kind)
         views = scene_views(16, 16)
         inputs, targets = M.scene_to_views(views)
+        n_kv = cfg.tokens_per_view()
         T.tape_clear()
+        if mode == "no_grad_views":
+            for n_views in (1, 2, 3):
+                with T.no_grad(), flops.FlopCounter() as fc:
+                    z = m.encode(inputs)
+                    for i in range(n_views):
+                        m.decode(z, targets[i % 2].intrinsics, targets[i % 2].pose)
+                analytic = full_model_flops(m.encoder.layer_spec(1) +
+                                            m.decoder.layer_spec(n_kv, n_views))
+                assert fc.total == pytest.approx(analytic, rel=1e-12), n_views
+            return
         with flops.FlopCounter() as fc:
-            if whole_step:
+            if mode == "train_step":
                 M.train_step(m, views, M.Adam(m.named_parameters()))
             else:
                 z = m.encode(inputs, training=True)
                 m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
-        decodes = 2 if whole_step else 1  # a train step decodes both target views
+        decodes = 2 if mode == "train_step" else 1  # a train step decodes both targets
         analytic = full_model_flops(m.encoder.layer_spec(1) +
-                                    decodes * m.decoder.layer_spec(cfg.tokens_per_view()))
+                                    decodes * m.decoder.layer_spec(n_kv))
         assert fc.total == pytest.approx(analytic, rel=1e-12)
 
     def test_query_count_drops_by_k_squared(self):
@@ -110,6 +144,81 @@ class TestForward:
         b = M.LightFieldModel(tiny_cfg(), "pixel")
         np.testing.assert_array_equal(a.encoder.convs[0].conv.w.data,
                                       b.encoder.convs[0].conv.w.data)
+
+
+class TestReusedKV:
+    """Without gradient recording, decode reuses the K/V of the last token tensor."""
+
+    @staticmethod
+    def _setup(kind="raypatch", seed=1):
+        m = M.LightFieldModel(tiny_cfg(), kind)
+        inputs, targets = M.scene_to_views(scene_views(seed=seed))
+        return m, inputs, targets
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_reused_decode_is_bit_equal_to_first_and_recorded(self, kind):
+        m, inputs, targets = self._setup(kind)
+        t = targets[0]
+        with T.no_grad():
+            z = m.encode(inputs)
+            first = m.decode(z, t.intrinsics, t.pose).data
+            m.decode(z, targets[1].intrinsics, targets[1].pose)
+            reused = m.decode(z, t.intrinsics, t.pose).data
+        T.tape_clear()
+        recorded = m.decode(z, t.intrinsics, t.pose).data
+        T.tape_clear()
+        np.testing.assert_array_equal(reused, first)
+        np.testing.assert_array_equal(recorded, first)
+
+    def test_recorded_decode_after_no_grad_decode_gives_the_same_grads(self):
+        grads = []
+        for warm in (False, True):
+            m, inputs, targets = self._setup()
+            t = targets[0]
+            T.tape_clear()
+            z = m.encode(inputs, training=False)
+            if warm:
+                with T.no_grad():
+                    m.decode(z, t.intrinsics, t.pose)
+            out = m.decode(z, t.intrinsics, t.pose)
+            total, _ = M.loss_total(out, t.image, t.depth)
+            T.backward(total)
+            grads.append({n: p.grad for n, p in m.named_parameters()
+                          if n.startswith("dec.block") and ".mha." in n
+                          and n.split(".mha.")[1][0] in "kv"})
+        assert grads[0] and set(grads[0]) == set(grads[1])
+        for name, g in grads[0].items():
+            assert g is not None, name
+            np.testing.assert_array_equal(grads[1][name], g, err_msg=name)
+
+    def test_encode_after_weight_change_decodes_like_a_fresh_model(self):
+        m, inputs, targets = self._setup()
+        t = targets[0]
+        with T.no_grad():
+            m.decode(m.encode(inputs), t.intrinsics, t.pose)  # fill the kept K/V
+        named = dict(m.named_parameters())
+        rng = np.random.default_rng(7)
+        for name in ("dec.block0.mha.k0.w", "dec.block1.mha.v1.b"):
+            named[name].data += rng.standard_normal(named[name].shape)
+        fresh = M.LightFieldModel(m.cfg, "raypatch")
+        for (_, a), (_, b) in zip(fresh.named_parameters(), m.named_parameters()):
+            a.data[...] = b.data
+        with T.no_grad():
+            got = m.decode(m.encode(inputs), t.intrinsics, t.pose).data
+            want = fresh.decode(fresh.encode(inputs), t.intrinsics, t.pose).data
+        np.testing.assert_array_equal(got, want)
+
+    def test_keeps_one_scene(self):
+        m, inputs_a, targets = self._setup(seed=1)
+        inputs_b, _ = M.scene_to_views(scene_views(seed=2))
+        t = targets[0]
+        with T.no_grad():
+            z_a, z_b = m.encode(inputs_a), m.encode(inputs_b)
+            first = m.decode(z_a, t.intrinsics, t.pose).data
+            other = m.decode(z_b, t.intrinsics, t.pose).data
+            again = m.decode(z_a, t.intrinsics, t.pose).data
+        assert not np.array_equal(other, first)
+        np.testing.assert_array_equal(again, first)
 
 
 class TestLosses:
