@@ -34,8 +34,10 @@ def uniform_init(rng, fan_in, shape):
 
 
 class Linear:
-    def __init__(self, rng, d_in, d_out):
-        self.w = T.parameter(uniform_init(rng, d_in, (d_in, d_out)))
+    def __init__(self, rng, d_in, d_out, heads=1):
+        # one column block per head, drawn in turn: what one Linear per head would draw
+        w = uniform_init(rng, d_in, (heads, d_in, d_out // heads))
+        self.w = T.parameter(w.transpose(1, 0, 2).reshape(d_in, d_out))
         self.b = T.parameter(np.zeros(d_out))
 
     def __call__(self, x):
@@ -60,46 +62,32 @@ def scaled_dot_attention(q, k_t, v):
 
 
 class MultiHeadAttention:
-    """Per-head linear projections, scaled-dot attention, concat, output projection."""
+    """Fused Q/K/V projections (head h: column block h), per-head scaled-dot
+    attention, concat, output projection."""
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.q_proj = [Linear(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.heads)]
-        self.k_proj = [Linear(rng, cfg.d_model, cfg.d_k) for _ in range(cfg.heads)]
-        self.v_proj = [Linear(rng, cfg.d_model, cfg.d_v) for _ in range(cfg.heads)]
+        self.q_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
+        self.k_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
+        self.v_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_v, cfg.heads)
         self.out = Linear(rng, cfg.heads * cfg.d_v, cfg.d_model)
-
-    def _check_width(self, x):
-        if x.shape[1] != self.cfg.d_model:
-            raise T.DimensionError("token width does not match d_model")
-
-    def _head_kv(self, h, x_kv):
-        return T.transpose(self.k_proj[h](x_kv), (1, 0)), self.v_proj[h](x_kv)
 
     def project_kv(self, x_kv):
         """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
-        self._check_width(x_kv)
-        return [self._head_kv(h, x_kv) for h in range(self.cfg.heads)]
+        cfg = self.cfg
+        k_t = T.split(T.transpose(self.k_proj(x_kv), (1, 0)), [cfg.d_k] * cfg.heads)
+        return list(zip(k_t, T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)))
 
     def __call__(self, x_q, x_kv, kv=None):
         """Attend from ``x_q`` to ``x_kv``; ``kv``, if given, is ``project_kv(x_kv)``."""
-        self._check_width(x_q)
-        self._check_width(x_kv)
-        head_outs = []
-        for h in range(self.cfg.heads):
-            q = self.q_proj[h](x_q)
-            k_t, v = self._head_kv(h, x_kv) if kv is None else kv[h]
-            head_outs.append(scaled_dot_attention(q, k_t, v))
+        q = T.split(self.q_proj(x_q), [self.cfg.d_k] * self.cfg.heads, axis=1)
+        kv = self.project_kv(x_kv) if kv is None else kv
+        head_outs = [scaled_dot_attention(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)]
         return self.out(T.concat(head_outs, axis=1))
 
     def params(self, prefix):
-        out = []
-        for h in range(self.cfg.heads):
-            out += self.q_proj[h].params(f"{prefix}.q{h}")
-            out += self.k_proj[h].params(f"{prefix}.k{h}")
-            out += self.v_proj[h].params(f"{prefix}.v{h}")
-        out += self.out.params(f"{prefix}.out")
-        return out
+        return (self.q_proj.params(f"{prefix}.q") + self.k_proj.params(f"{prefix}.k")
+                + self.v_proj.params(f"{prefix}.v") + self.out.params(f"{prefix}.out"))
 
 
 class FeedForward:

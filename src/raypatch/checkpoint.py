@@ -27,7 +27,7 @@ from .binfile import read_exact, read_header, write_header
 from .model import DECODERS, LightFieldModel, ModelConfig, ModelConfigError
 
 MAGIC = b"RPCK"
-VERSION = 1
+VERSION = 2  # 2: one fused Q, K and V projection per attention block
 
 
 def _named_state(model):
@@ -36,11 +36,13 @@ def _named_state(model):
 
 
 def save_checkpoint(path, model, step=0):
+    if type(step) is not int or step < 0:  # what load_checkpoint accepts
+        raise ValueError(f"{path}: step is not an integer of at least 0: {step!r}")
     entries = _named_state(model)
     meta = {
         "config": dataclasses.asdict(model.cfg),
         "decoder": model.decoder_kind,
-        "step": int(step),
+        "step": step,
     }
     with open(path, "wb") as fh:
         write_header(fh, MAGIC, VERSION, meta)

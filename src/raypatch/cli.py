@@ -334,6 +334,8 @@ def cmd_render(args):
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     worst = {}
     failed = []
     for seed in range(args.seed, args.seed + args.seeds):

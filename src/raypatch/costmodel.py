@@ -55,6 +55,9 @@ class CostConfig:
             raise CostConfigError(f"unknown family {self.family!r}; pick one of {FAMILIES}")
         if self.height < 1 or self.width < 1 or self.n_views < 1:
             raise CostConfigError("height, width and n_views must be positive")
+        for name in ("heads", "d_k", "n_latent"):
+            if getattr(self, name) < 1:
+                raise CostConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not _is_power_of_two(self.k):
             raise CostConfigError(f"patch size {self.k} is not a power of two")
         if self.height % self.k or self.width % self.k:

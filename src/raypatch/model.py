@@ -213,7 +213,47 @@ class Encoder:
         return layers
 
 
-class RayPatchDecoder:
+class _QueryDecoder:
+    """The decoders' shared front: one ray query per k x k patch, its embedding and
+    the attention blocks. A subclass adds a head and prices it in ``_head_cost``."""
+
+    def __init__(self, cfg, rng, k):
+        self.cfg, self.k = cfg, k
+        self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
+        self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.dec_blocks)]
+
+    def _attend(self, z, intrinsics, pose, kv, head):
+        """The queries through embed, blocks and ``head``, in stage decoder_attn."""
+        cfg = self.cfg
+        grid = PatchGrid(cfg.height, cfg.width, self.k)
+        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
+                          cfg.scene_radius)
+        flops.count_queries("decoder", grid.n_patches)
+        with flops.stage("decoder_attn"):
+            x = self.embed(q)
+            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
+                x = blk(x, z, blk_kv)
+            return head(x)
+
+    def params(self):
+        out = self.embed.params("dec.embed")
+        for i, blk in enumerate(self.blocks):
+            out += blk.params(f"dec.block{i}")
+        return out
+
+    def layer_spec(self, n_kv, n_views=1):
+        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
+        cfg = self.cfg
+        n_q = (cfg.height // self.k) * (cfg.width // self.k)
+        view = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
+        for _ in range(cfg.dec_blocks):
+            view += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
+                                         cfg.d_k, cfg.d_v, with_kv=False)
+        kv = kv_projection_cost(n_kv, cfg.d_model, cfg.heads, cfg.d_k, cfg.d_v)
+        return cfg.dec_blocks * kv + n_views * (view + self._head_cost(n_q))
+
+
+class RayPatchDecoder(_QueryDecoder):
     """One query per patch, then a x2-per-block upsampling CNN back to pixels.
 
     Each CNN block taps its input with a linear conv into an accumulated
@@ -224,9 +264,7 @@ class RayPatchDecoder:
     """
 
     def __init__(self, cfg, rng):
-        self.cfg = cfg
-        self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
-        self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.dec_blocks)]
+        super().__init__(cfg, rng, cfg.k)
         self.feature_head = Linear(rng, cfg.d_model, cfg.feature_channels)
         self.taps, self.body = [], []
         ch = cfg.feature_channels
@@ -239,18 +277,10 @@ class RayPatchDecoder:
     def __call__(self, z, intrinsics, pose, training, kv=None):
         """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
         cfg = self.cfg
-        grid = PatchGrid(cfg.height, cfg.width, cfg.k)
-        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
-                          cfg.scene_radius)
-        flops.count_queries("decoder", grid.n_patches)
-        with flops.stage("decoder_attn"):
-            x = self.embed(q)
-            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
-                x = blk(x, z, blk_kv)
-            feats = self.feature_head(x)
+        feats = self._attend(z, intrinsics, pose, kv, self.feature_head)
         with flops.stage("decoder_cnn"):
             fmap = T.reshape(T.transpose(feats, (1, 0)),
-                             (cfg.feature_channels, grid.rows, grid.cols))
+                             (cfg.feature_channels, cfg.height // cfg.k, cfg.width // cfg.k))
             acc = None
             for tap, body in zip(self.taps, self.body):
                 pre = tap(fmap)
@@ -263,10 +293,7 @@ class RayPatchDecoder:
         return out
 
     def params(self):
-        out = self.embed.params("dec.embed")
-        for i, blk in enumerate(self.blocks):
-            out += blk.params(f"dec.block{i}")
-        out += self.feature_head.params("dec.feature_head")
+        out = super().params() + self.feature_head.params("dec.feature_head")
         for i, (tap, body) in enumerate(zip(self.taps, self.body)):
             out += tap.params(f"dec.tap{i}") + body.params(f"dec.body{i}")
         out += self.final.params("dec.final")
@@ -278,18 +305,13 @@ class RayPatchDecoder:
             out += body.buffers(f"dec.body{i}")
         return out
 
-    def layer_spec(self, n_kv, n_views=1):
-        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
+    def _head_cost(self, n_q):
         cfg = self.cfg
-        n_q = (cfg.height // cfg.k) * (cfg.width // cfg.k)
-        view = _query_attention_cost(cfg, n_q, n_kv)
-        view.append(LinearCost(n_q, cfg.d_model, cfg.feature_channels))
-        view += upsampling_cnn_cost(cfg.k, cfg.height, cfg.width,
-                                    cfg.feature_channels, cfg.out_channels)
-        return _kv_cost(cfg, n_kv) + n_views * view
+        return [LinearCost(n_q, cfg.d_model, cfg.feature_channels)] + upsampling_cnn_cost(
+            cfg.k, cfg.height, cfg.width, cfg.feature_channels, cfg.out_channels)
 
 
-class PixelDecoder:
+class PixelDecoder(_QueryDecoder):
     """Baseline head: one cross-attention query per pixel, MLP to the outputs.
 
     All h*w queries run through attention in one pass, so the decoder's
@@ -297,58 +319,27 @@ class PixelDecoder:
     """
 
     def __init__(self, cfg, rng):
-        self.cfg = cfg
-        self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
-        self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.dec_blocks)]
+        super().__init__(cfg, rng, 1)
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, cfg.out_channels)
 
     def __call__(self, z, intrinsics, pose, training, kv=None):
         """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
         cfg = self.cfg
-        grid = PatchGrid(cfg.height, cfg.width, 1)
-        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
-                          cfg.scene_radius)
-        flops.count_queries("decoder", grid.n_patches)
-        with flops.stage("decoder_attn"):
-            x = self.embed(q)
-            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
-                x = blk(x, z, blk_kv)
-            out = self.head2(T.leaky_relu(self.head1(x)))
+        out = self._attend(z, intrinsics, pose, kv,
+                           lambda x: self.head2(T.leaky_relu(self.head1(x))))
         return T.reshape(T.transpose(out, (1, 0)),
                          (cfg.out_channels, cfg.height, cfg.width))
 
     def params(self):
-        out = self.embed.params("dec.embed")
-        for i, blk in enumerate(self.blocks):
-            out += blk.params(f"dec.block{i}")
-        return out + self.head1.params("dec.head1") + self.head2.params("dec.head2")
+        return super().params() + self.head1.params("dec.head1") + self.head2.params("dec.head2")
 
     def buffers(self):
         return []
 
-    def layer_spec(self, n_kv, n_views=1):
-        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
-        cfg = self.cfg
-        n_q = cfg.height * cfg.width
-        view = _query_attention_cost(cfg, n_q, n_kv)
-        view += [LinearCost(n_q, cfg.d_model, 2 * cfg.d_model),
-                 LinearCost(n_q, 2 * cfg.d_model, cfg.out_channels)]
-        return _kv_cost(cfg, n_kv) + n_views * view
-
-
-def _kv_cost(cfg, n_kv):
-    """The K/V projections of every decoder block, once per token set."""
-    return cfg.dec_blocks * kv_projection_cost(n_kv, cfg.d_model, cfg.heads, cfg.d_k, cfg.d_v)
-
-
-def _query_attention_cost(cfg, n_q, n_kv):
-    """Per view: the query embedding and the decoder blocks without their K/V."""
-    layers = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
-    for _ in range(cfg.dec_blocks):
-        layers += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
-                                       cfg.d_k, cfg.d_v, with_kv=False)
-    return layers
+    def _head_cost(self, n_q):
+        d = self.cfg.d_model
+        return [LinearCost(n_q, d, 2 * d), LinearCost(n_q, 2 * d, self.cfg.out_channels)]
 
 
 DECODERS = {"raypatch": RayPatchDecoder, "pixel": PixelDecoder}
@@ -408,10 +399,8 @@ class LightFieldModel:
 
 def split_output(out):
     """[4, h, w] model output -> (rgb [3, h, w], log_depth [h, w])."""
-    c, h, w = out.shape
-    rgb = T.reshape(T.take(out, np.arange(3 * h * w)), (3, h, w))
-    logd = T.reshape(T.take(out, np.arange(3 * h * w, 4 * h * w)), (h, w))
-    return rgb, logd
+    rgb, logd = T.split(out, [3, 1], axis=0)
+    return rgb, T.reshape(logd, out.shape[1:])
 
 
 def loss_rgb(pred, target):

@@ -16,6 +16,7 @@ and bilinear upsampling, and elementwise glue.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -248,23 +249,43 @@ def take(x, indices):
     return out
 
 
+def _cuts(sizes, axis):
+    """Index tuples of consecutive blocks of ``sizes`` along (non-negative) ``axis``."""
+    ends = itertools.accumulate(sizes)
+    return [(slice(None),) * axis + (slice(end - n, end),) for n, end in zip(sizes, ends)]
+
+
 def concat(tensors, axis=0):
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat of empty list")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    cuts = _cuts([t.shape[axis] for t in tensors], axis % out_data.ndim)
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
+        for t, cut in zip(tensors, cuts):
+            _accumulate(t, g[cut])
 
     _record(out, bwd)
     return out
+
+
+def split(x, sizes, axis=0):
+    """Cut ``x`` along ``axis`` into parts of ``sizes``: the inverse of ``concat``."""
+    if min(sizes, default=-1) < 0 or sum(sizes) != x.shape[axis]:
+        raise DimensionError(f"split sizes {sizes} do not add up to axis {axis} of {x.shape}")
+    cuts = _cuts(sizes, axis % x.data.ndim)
+    parts = [Tensor(x.data[cut], requires_grad=x.requires_grad) for cut in cuts]
+
+    def bwd(cut, g):  # each part's gradient goes into its slice of one buffer, x.grad
+        if x.grad is None:
+            x.grad = np.zeros(x.shape)
+        x.grad[cut] += g
+
+    for part, cut in zip(parts, cuts):
+        _record(part, lambda g, cut=cut: bwd(cut, g))
+    return parts
 
 
 def reshape(x, shape):

@@ -61,7 +61,7 @@ class TestMultiHeadAttention:
         cfg = B.MhaConfig(d_model=6, heads=1, d_k=6, d_v=6)
         mha = B.MultiHeadAttention(cfg, rng)
         eye = np.eye(6)
-        for lin in (mha.q_proj[0], mha.k_proj[0], mha.v_proj[0], mha.out):
+        for lin in (mha.q_proj, mha.k_proj, mha.v_proj, mha.out):
             lin.w.data[...] = eye
             lin.b.data[...] = 0.0
         xq = Tensor(rng.standard_normal((4, 6)))
@@ -76,19 +76,47 @@ class TestMultiHeadAttention:
         assert out.shape == (5, 16)
 
     def test_heads_match_per_head_loop(self, rng):
-        # recompute each head by hand from the stored projections
+        # recompute each head by hand from its column block of the fused projections
         mha = B.MultiHeadAttention(CFG, rng)
+        for lin in (mha.q_proj, mha.k_proj, mha.v_proj):  # nonzero biases, to see their blocks
+            lin.b.data[...] = rng.standard_normal(lin.b.shape)
         xq = Tensor(rng.standard_normal((3, 16)))
         xkv = Tensor(rng.standard_normal((6, 16)))
         got = mha(xq, xkv).data
+
+        def head(lin, x, h, d):
+            cols = slice(h * d, (h + 1) * d)
+            return x.data @ lin.w.data[:, cols] + lin.b.data[cols]
+
         heads = []
         for h in range(CFG.heads):
-            q = xq.data @ mha.q_proj[h].w.data + mha.q_proj[h].b.data
-            k = xkv.data @ mha.k_proj[h].w.data + mha.k_proj[h].b.data
-            v = xkv.data @ mha.v_proj[h].w.data + mha.v_proj[h].b.data
+            q = head(mha.q_proj, xq, h, CFG.d_k)
+            k = head(mha.k_proj, xkv, h, CFG.d_k)
+            v = head(mha.v_proj, xkv, h, CFG.d_v)
             heads.append(attention_single_head_naive(q, k, v))
         want = np.concatenate(heads, axis=1) @ mha.out.w.data + mha.out.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_four_projections_whatever_the_head_count(self, rng, heads):
+        mha = B.MultiHeadAttention(B.MhaConfig(d_model=8, heads=heads, d_k=4, d_v=5), rng)
+        assert [n for n, _ in mha.params("m")] == [
+            "m.q.w", "m.q.b", "m.k.w", "m.k.b", "m.v.w", "m.v.b", "m.out.w", "m.out.b"]
+        assert mha.q_proj.w.shape == mha.k_proj.w.shape == (8, heads * 4)
+        assert mha.v_proj.w.shape == (8, heads * 5)
+
+    def test_weights_are_drawn_one_head_at_a_time(self):
+        # column block h of q_proj.w is the h-th of `heads` consecutive draws,
+        # then K's blocks, then V's: the weights one Linear per head would get
+        cfg = B.MhaConfig(d_model=6, heads=3, d_k=4, d_v=2)
+        mha = B.MultiHeadAttention(cfg, np.random.default_rng(5))
+        stream = np.random.default_rng(5)
+        for lin, d in ((mha.q_proj, cfg.d_k), (mha.k_proj, cfg.d_k), (mha.v_proj, cfg.d_v)):
+            for h in range(cfg.heads):
+                want = B.uniform_init(stream, cfg.d_model, (cfg.d_model, d))
+                np.testing.assert_array_equal(lin.w.data[:, h * d:(h + 1) * d], want)
+        np.testing.assert_array_equal(
+            mha.out.w.data, B.uniform_init(stream, cfg.heads * cfg.d_v, (cfg.heads * cfg.d_v, 6)))
 
     def test_projected_kv_gives_the_same_output(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)
@@ -159,5 +187,5 @@ class TestAttnBlock:
         block = B.AttnBlock(cfg, np.random.default_rng(3))
         x = Tensor(rng.standard_normal((4, 8)))
         w = Tensor(rng.standard_normal((4, 8)))
-        target = block.mha.q_proj[0].w
+        target = block.mha.q_proj.w
         assert T.grad_check(lambda t: T.sum_all(T.mul(block(x), w)), target) < 1e-4

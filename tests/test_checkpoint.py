@@ -61,6 +61,14 @@ def test_rejects_wrong_version(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("step", [-1, 2.5, True, "3"])
+def test_save_refuses_a_step_load_would_refuse(tmp_path, step):
+    path = tmp_path / "m.rpck"
+    with pytest.raises(ValueError, match="step"):
+        ckpt.save_checkpoint(path, M.LightFieldModel(small_cfg(), "raypatch"), step=step)
+    assert not path.exists()
+
+
 def test_rejects_truncated_file(tmp_path):
     m = M.LightFieldModel(small_cfg(), "raypatch")
     path = tmp_path / "m.rpck"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from raypatch import binfile
 from raypatch import checkpoint as ckpt
 from raypatch import cli
 from raypatch import datasynth as ds
@@ -198,8 +199,12 @@ class TestBadInvocations:
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
+        # the writer refuses step -1, so rewrite the meta of a valid checkpoint
         paths["neg_ck"] = d / "neg.rpck"
-        ckpt.save_checkpoint(paths["neg_ck"], M.LightFieldModel(cfg, "raypatch"), step=-1)
+        with open(paths["ck"], "rb") as src, open(paths["neg_ck"], "wb") as dst:
+            meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
+            binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, dict(meta, step=-1))
+            dst.write(src.read())
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
         return paths
 
@@ -211,6 +216,13 @@ class TestBadInvocations:
     # argv with {placeholders} for the fixture files, and what the error line names
     CASES = {
         "cost_sweep_without_values": (["cost", "--sweep", "k"], "--values"),
+        "cost_negative_heads": (["cost", "--heads", "-1", "--csv", "-"], "heads"),
+        "cost_zero_heads": (["cost", "--heads", "0"], "heads"),
+        "cost_negative_d_k": (["cost", "--d-k", "-5"], "d_k"),
+        "cost_zero_latents": (["cost", "--family", "define", "--latents", "0"], "n_latent"),
+        "cost_sweep_zero_heads": (["cost", "--sweep", "heads", "--values", "0"], "heads"),
+        "gradcheck_zero_seeds": (["gradcheck", "--seeds", "0"], "--seeds"),
+        "gradcheck_negative_seeds": (["gradcheck", "--seeds", "-2"], "--seeds"),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
                                     "'n_scenes' is -1"),
         "train_log_every_0": (TRAIN + ["{ds}", "--log-every", "0"], "--log-every"),

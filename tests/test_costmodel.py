@@ -99,6 +99,12 @@ class TestValidation:
         with pytest.raises(C.CostConfigError):
             C.CostConfig("rp-srt", 100, 100, k=8)
 
+    @pytest.mark.parametrize("field", ["heads", "d_k", "n_latent"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_size_below_one(self, field, value):
+        with pytest.raises(C.CostConfigError, match=f"^{field} must be at least 1"):
+            C.CostConfig("define", 64, 64, **{field: value})
+
     def test_tokens_after_downsampling(self):
         cfg = C.CostConfig("srt", 128, 128, n_views=2, downsamplings=3)
         assert C.encoder_tokens(cfg) == 2 * 128 * 128 // 64

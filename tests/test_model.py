@@ -198,7 +198,7 @@ class TestReusedKV:
             m.decode(m.encode(inputs), t.intrinsics, t.pose)  # fill the kept K/V
         named = dict(m.named_parameters())
         rng = np.random.default_rng(7)
-        for name in ("dec.block0.mha.k0.w", "dec.block1.mha.v1.b"):
+        for name in ("dec.block0.mha.k.w", "dec.block1.mha.v.b"):
             named[name].data += rng.standard_normal(named[name].shape)
         fresh = M.LightFieldModel(m.cfg, "raypatch")
         for (_, a), (_, b) in zip(fresh.named_parameters(), m.named_parameters()):

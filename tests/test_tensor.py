@@ -229,7 +229,7 @@ class TestElementwise:
         np.testing.assert_allclose(T.mul(Tensor(x), 2.0).data, 2 * x)
 
     @pytest.mark.parametrize("name", ["leaky_relu", "absolute", "mean_all", "take", "concat",
-                                      "reshape", "transpose", "bias_add_rows"])
+                                      "split", "reshape", "transpose", "bias_add_rows"])
     def test_grads(self, rng, name):
         w = Tensor(rng.standard_normal((4, 6)))
         x = leaf(rng, 4, 6)
@@ -239,15 +239,33 @@ class TestElementwise:
             "mean_all": lambda t: T.mean_all(T.mul(t, w)),
             "take": lambda t: T.sum_all(T.take(t, np.array([0, 5, 11, 23, 23]))),
             "concat": lambda t: T.sum_all(T.mul(T.concat([t, t], axis=1), w_cat)),
+            # the middle part is left unused: its slice of the gradient stays zero
+            "split": lambda t: T.sum_all(T.mul(T.concat(
+                [T.split(t, [1, 2, 3], axis=1)[i] for i in (2, 0)], axis=1), w_split)),
             "reshape": lambda t: T.sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
             "transpose": lambda t: T.sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
             "bias_add_rows": lambda t: T.sum_all(T.mul(T.bias_add_rows(t, bias_r), w)),
         }
         bias_r = Tensor(rng.standard_normal(6))
         w_cat = Tensor(rng.standard_normal((4, 12)))
+        w_split = Tensor(rng.standard_normal((4, 4)))
         w_flat = Tensor(rng.standard_normal((2, 12)))
         w_t = Tensor(rng.standard_normal((6, 4)))
         assert T.grad_check(cases[name], x) < 1e-5
+
+
+class TestSplit:
+    @pytest.mark.parametrize("axis, sizes", [(0, [1, 3]), (1, [2, 0, 4]), (1, [6])])
+    def test_concat_of_split_returns_x(self, rng, axis, sizes):
+        x = Tensor(rng.standard_normal((4, 6)))
+        parts = T.split(x, sizes, axis=axis)
+        assert [p.shape[axis] for p in parts] == sizes
+        np.testing.assert_array_equal(T.concat(parts, axis=axis).data, x.data)
+
+    @pytest.mark.parametrize("sizes", [[2, 3], [4, 3], [7, -1], []])
+    def test_sizes_must_add_up(self, sizes):
+        with pytest.raises(T.DimensionError, match="do not add up"):
+            T.split(Tensor(np.zeros((2, 6))), sizes, axis=1)
 
 
 class TestGraphSemantics:
