@@ -63,7 +63,13 @@ def scaled_dot_attention(q, k_t, v):
 
 class MultiHeadAttention:
     """Fused Q/K/V projections (head h: column block h), per-head scaled-dot
-    attention, concat, output projection."""
+    attention, concat, output projection.
+
+    Without gradient recording, cross-attention keeps the per-head K/V of the
+    last ``x_kv`` object and reuses them while it is passed again. They are a
+    snapshot of the weights: after changing the weights, pass in a new ``x_kv``.
+    Recorded calls and self-attention project every time and keep nothing.
+    """
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
@@ -71,6 +77,7 @@ class MultiHeadAttention:
         self.k_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
         self.v_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_v, cfg.heads)
         self.out = Linear(rng, cfg.heads * cfg.d_v, cfg.d_model)
+        self._kv = (None, None)  # (last no-grad cross-attention x_kv, its project_kv)
 
     def project_kv(self, x_kv):
         """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
@@ -78,10 +85,13 @@ class MultiHeadAttention:
         k_t = T.split(T.transpose(self.k_proj(x_kv), (1, 0)), [cfg.d_k] * cfg.heads)
         return list(zip(k_t, T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)))
 
-    def __call__(self, x_q, x_kv, kv=None):
-        """Attend from ``x_q`` to ``x_kv``; ``kv``, if given, is ``project_kv(x_kv)``."""
+    def __call__(self, x_q, x_kv):
+        """Attend from ``x_q`` to ``x_kv``; self-attention when they are one tensor."""
         q = T.split(self.q_proj(x_q), [self.cfg.d_k] * self.cfg.heads, axis=1)
-        kv = self.project_kv(x_kv) if kv is None else kv
+        kept = not T._recording() and x_kv is not x_q
+        if kept and self._kv[0] is not x_kv:
+            self._kv = (x_kv, self.project_kv(x_kv))
+        kv = self._kv[1] if kept else self.project_kv(x_kv)
         head_outs = [scaled_dot_attention(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)]
         return self.out(T.concat(head_outs, axis=1))
 
@@ -125,13 +135,10 @@ class AttnBlock:
         self.ff = FeedForward(rng, cfg.d_model)
         self.ln2 = LayerNormParams(cfg.d_model)
 
-    def __call__(self, x_q, x_kv=None, kv=None):
-        """Self-attention when x_kv is None, cross-attention otherwise.
-
-        ``kv``, if given, is ``self.mha.project_kv(x_kv)``, computed earlier.
-        """
+    def __call__(self, x_q, x_kv=None):
+        """Self-attention when x_kv is None, cross-attention otherwise."""
         x_kv = x_q if x_kv is None else x_kv
-        y = self.ln1(T.add(x_q, self.mha(x_q, x_kv, kv)))
+        y = self.ln1(T.add(x_q, self.mha(x_q, x_kv)))
         return self.ln2(T.add(y, self.ff(y)))
 
     def params(self, prefix):

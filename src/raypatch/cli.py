@@ -12,8 +12,7 @@ Subcommands:
 Speed is measured by the benchmark, ``perfbench/run.py``, not by a subcommand.
 
 Exit codes: 0 success, 1 a check failed, 2 bad arguments or config,
-3 numeric failure (non-finite loss). ``RAYPATCH_SEED`` provides the default
-seed everywhere a --seed flag exists.
+3 numeric failure (non-finite loss).
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_NUMERIC = 3
-
-
-def default_seed():
-    return int(os.environ.get("RAYPATCH_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +411,7 @@ def build_parser():
     p.add_argument("--scenes", type=int, default=200)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=32)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_dataset)
 
     p = sub.add_parser("train", help="train a model")
@@ -427,7 +422,7 @@ def build_parser():
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--log", help="write the training CSV here")
     p.add_argument("--checkpoint", help="write the final model here")
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=0)
     _add_model_flags(p)
     p.set_defaults(fn=cmd_train)
 
@@ -443,7 +438,7 @@ def build_parser():
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient battery")
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -198,14 +198,15 @@ class AttnProductCost:
 
 @dataclass(frozen=True)
 class ConvCost:
+    """A 3x3 convolution: 9 taps per output element."""
+
     out_h: int
     out_w: int
     c_in: int
     c_out: int
-    ksize: int = 3
 
     def flops(self):
-        return 2.0 * self.out_h * self.out_w * self.c_in * self.c_out * self.ksize ** 2
+        return 2.0 * self.out_h * self.out_w * self.c_in * self.c_out * 9
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def kv_projection_cost(n_kv, d_model, heads, d_k, d_v):
     return [LinearCost(n_kv, d_model, heads * d_k), LinearCost(n_kv, d_model, heads * d_v)]
 
 
-def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_ff=True, with_kv=True):
+def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_kv=True):
     """Layers of one attention block: Q/K/V/out projections, products, feed-forward.
 
     ``with_kv=False`` leaves out the K/V projections, for a block whose keys
@@ -241,9 +242,8 @@ def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_ff=True, with
         layers += kv_projection_cost(n_kv, d_model, heads, d_k, d_v)
     layers += [AttnProductCost(heads, n_q, n_kv, d_k, d_v),
                LinearCost(n_q, heads * d_v, d_model)]
-    if with_ff:
-        hidden = 2 * d_model  # FeedForward's hidden width
-        layers += [LinearCost(n_q, d_model, hidden), LinearCost(n_q, hidden, d_model)]
+    hidden = 2 * d_model  # FeedForward's hidden width
+    layers += [LinearCost(n_q, d_model, hidden), LinearCost(n_q, hidden, d_model)]
     return layers
 
 
@@ -266,80 +266,4 @@ def upsampling_cnn_cost(k, out_h, out_w, f, c_out):
         layers.append(ConvCost(2 * h, 2 * w, ch, ch // 2))  # block conv after nearest 2x
         h, w, ch = 2 * h, 2 * w, ch // 2
     layers.append(ConvCost(h, w, ch, c_out))                # final conv
-    return layers
-
-
-# ---------------------------------------------------------------------------
-# reference full-size architectures for the published FLOP comparisons
-# ---------------------------------------------------------------------------
-#
-# Hyperparameters below are calibrated reconstructions of the published
-# models (several details are not public); totals land in the documented
-# ratio bands rather than on exact per-model GFLOPs.
-
-SRT_REF = dict(d_model=768, heads=12, d_k=64, d_v=64, enc_blocks=10, dec_blocks=2,
-               conv_channels=(96, 192, 384), ray_channels=120, f=128)
-
-DEFINE_REF = dict(d_model=512, latents=2048, enc_blocks=4, heads=8, d_k=64, d_v=64,
-                  dec_heads=1, dec_d_k=256, dec_d_v=256, f=128,
-                  conv_channels=(64, 128, 256, 512))
-
-
-def reference_srt_layers(height, width, k=1, n_views=1):
-    """SRT-style encoder + decoder at full scale; k > 1 switches to patch queries."""
-    p = SRT_REF
-    layers = []
-    h, w = height, width
-    c_in = 3 + p["ray_channels"]
-    for ch in p["conv_channels"]:  # stride-2 conv stack
-        h, w = h // 2, w // 2
-        layers.append(ConvCost(h, w, c_in, ch))
-        c_in = ch
-    tokens = n_views * h * w
-    layers.append(ConvCost(h, w, c_in, p["d_model"], ksize=1))  # 1x1 to token width
-    for _ in range(p["enc_blocks"]):
-        layers += attention_block_cost(tokens, tokens, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
-    n_q = height * width // (k * k)
-    for _ in range(p["dec_blocks"]):
-        layers += attention_block_cost(n_q, tokens, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
-    if k > 1:
-        layers.append(LinearCost(n_q, 120, p["d_model"]))   # query embed
-        layers.append(LinearCost(n_q, p["d_model"], p["f"]))  # feature head
-        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=3)
-    else:
-        layers.append(LinearCost(n_q, p["d_model"], 3))     # rgb head
-    return layers
-
-
-def reference_define_layers(height, width, k=1, n_views=2, in_h=128, in_w=192):
-    """Perceiver-style encoder with a fixed latent set + one-block decoder."""
-    p = DEFINE_REF
-    layers = []
-    h, w = in_h, in_w
-    c_in = 3
-    for ch in p["conv_channels"]:  # conv front end, run once per input view
-        h, w = h // 2, w // 2
-        layers.append(ConvCost(h, w, c_in, ch))
-        c_in = ch
-    layers = layers * n_views
-    in_tokens = n_views * h * w
-    lat = p["latents"]
-    # cross-attend input tokens into the latent set, then latent self-attention
-    layers += attention_block_cost(lat, in_tokens, p["d_model"], p["heads"],
-                                   p["d_k"], p["d_v"])
-    for _ in range(p["enc_blocks"]):
-        layers += attention_block_cost(lat, lat, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
-    # single cross-attention decode stage, no feed-forward
-    n_q = height * width // (k * k)
-    layers += attention_block_cost(n_q, lat, p["d_model"], p["dec_heads"],
-                                   p["dec_d_k"], p["dec_d_v"], with_ff=False)
-    if k > 1:
-        layers.append(LinearCost(n_q, 120, p["d_model"]))
-        layers.append(LinearCost(n_q, p["d_model"], p["f"]))
-        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=4)
-    else:
-        layers.append(LinearCost(n_q, p["d_model"], 4))     # rgb-d head
     return layers

@@ -29,8 +29,6 @@ VFOV_DEG = 45.0
 FLOOR_RADIUS = 4.0
 RIG_VIEWS = 3
 RIG_ROLES = (0,) + (1,) * (RIG_VIEWS - 1)  # view 0 is the encoder input, the rest targets
-# sqrt((RIG_RADIUS + FLOOR_RADIUS)^2 + RIG_HEIGHT^2) rounded up: no valid hit is farther
-DEPTH_BOUND = 7.0
 
 LIGHT_DIR = np.array([0.5, 0.3, -1.0]) / np.linalg.norm([0.5, 0.3, -1.0])  # travel direction
 AMBIENT = 0.3

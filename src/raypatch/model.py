@@ -15,9 +15,9 @@ The encoder and each decoder answer ``layer_spec()`` with the cost-model
 layer list that mirrors their executed tensor ops one for one, so the
 instrumented FLOP counter and the analytic model can be compared directly.
 
-Without gradient recording, ``LightFieldModel.decode`` projects a token set
-to each decoder block's keys and values once and reuses them for every
-further view decoded from the same token tensor: encode once, render many.
+Without gradient recording, each decoder block's attention keeps the keys
+and values of the last token tensor it was given and reuses them for every
+further view decoded from that tensor: encode once, render many.
 """
 
 from __future__ import annotations
@@ -67,22 +67,25 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # downsamplings: without a conv stage the encoder tokens are not d_model wide
+        for name, low in (("height", 1), ("width", 1), ("heads", 1), ("d_k", 1), ("d_v", 1),
+                          ("downsamplings", 1), ("feature_channels", 1), ("n_freq_origin", 0),
+                          ("n_freq_dir", 0), ("enc_blocks", 0), ("dec_blocks", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ModelConfigError(f"{name} must be at least {low}, "
+                                       f"got {getattr(self, name)}")
+        if not (math.isfinite(self.scene_radius) and self.scene_radius > 0):
+            raise ModelConfigError(f"scene_radius must be finite and > 0, got {self.scene_radius}")
+        if self.out_channels != 4:  # the RGB + log depth layout split_output cuts
+            raise ModelConfigError(f"out_channels must be 4, got {self.out_channels}")
         if self.k < 1 or self.k & (self.k - 1):
             raise ModelConfigError(f"patch size must be a power of two, got {self.k}")
         if self.height % self.k or self.width % self.k:
             raise ModelConfigError(f"{self.k} does not divide {self.height}x{self.width}")
-        if self.downsamplings < 1:
-            # without a conv stage the encoder tokens are not d_model wide
-            raise ModelConfigError(f"downsamplings must be at least 1, got {self.downsamplings}")
         step = 2 ** self.downsamplings
         if self.height % step or self.width % step:
             raise ModelConfigError(
                 f"{self.downsamplings} stride-2 stages need dims divisible by {step}")
-        for name, low in (("feature_channels", 1), ("n_freq_origin", 0), ("n_freq_dir", 0),
-                          ("enc_blocks", 0), ("dec_blocks", 1)):
-            if getattr(self, name) < low:
-                raise ModelConfigError(f"{name} must be at least {low}, "
-                                       f"got {getattr(self, name)}")
         if self.n_freq_origin + self.n_freq_dir < 1:
             # queries and the encoder's ray channels would be empty
             raise ModelConfigError("n_freq_origin + n_freq_dir must be at least 1, got "
@@ -222,7 +225,7 @@ class _QueryDecoder:
         self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
         self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.dec_blocks)]
 
-    def _attend(self, z, intrinsics, pose, kv, head):
+    def _attend(self, z, intrinsics, pose, head):
         """The queries through embed, blocks and ``head``, in stage decoder_attn."""
         cfg = self.cfg
         grid = PatchGrid(cfg.height, cfg.width, self.k)
@@ -231,8 +234,8 @@ class _QueryDecoder:
         flops.count_queries("decoder", grid.n_patches)
         with flops.stage("decoder_attn"):
             x = self.embed(q)
-            for blk, blk_kv in zip(self.blocks, kv or [None] * len(self.blocks)):
-                x = blk(x, z, blk_kv)
+            for blk in self.blocks:
+                x = blk(x, z)
             return head(x)
 
     def params(self):
@@ -274,10 +277,9 @@ class RayPatchDecoder(_QueryDecoder):
             ch //= 2
         self.final = Conv3x3(rng, ch, cfg.out_channels)
 
-    def __call__(self, z, intrinsics, pose, training, kv=None):
-        """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
+    def __call__(self, z, intrinsics, pose, training):
         cfg = self.cfg
-        feats = self._attend(z, intrinsics, pose, kv, self.feature_head)
+        feats = self._attend(z, intrinsics, pose, self.feature_head)
         with flops.stage("decoder_cnn"):
             fmap = T.reshape(T.transpose(feats, (1, 0)),
                              (cfg.feature_channels, cfg.height // cfg.k, cfg.width // cfg.k))
@@ -323,10 +325,9 @@ class PixelDecoder(_QueryDecoder):
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, cfg.out_channels)
 
-    def __call__(self, z, intrinsics, pose, training, kv=None):
-        """``kv``, if given, holds each block's ``mha.project_kv(z)``."""
+    def __call__(self, z, intrinsics, pose, training):
         cfg = self.cfg
-        out = self._attend(z, intrinsics, pose, kv,
+        out = self._attend(z, intrinsics, pose,
                            lambda x: self.head2(T.leaky_relu(self.head1(x))))
         return T.reshape(T.transpose(out, (1, 0)),
                          (cfg.out_channels, cfg.height, cfg.width))
@@ -359,7 +360,6 @@ class LightFieldModel:
         names = [n for n, _ in self.named_parameters()]
         if len(names) != len(set(names)):
             raise AssertionError("duplicate parameter names")
-        self._kv_memo = (None, None)  # (last no-grad token tensor, its per-block K/V)
 
     def encode(self, views, training=False):
         """Token set [n, d_model] of the input views.
@@ -372,19 +372,10 @@ class LightFieldModel:
     def decode(self, z, intrinsics, pose, training=False):
         """Output [out_channels, h, w] of one target view from tokens ``z``.
 
-        Without gradient recording, the decoder blocks' K/V of the last ``z``
-        decoded are kept and reused while ``z`` is handed in again (the same
-        object, not modified in place); this is why ``z`` must come from an
-        encode under the current weights. Recorded decodes project K/V
-        afresh and leave the kept ones alone.
+        ``z`` must come from an encode under the current weights: without
+        gradient recording, the decoder blocks keep the K/V of the last ``z``.
         """
-        if T._recording():
-            return self.decoder(z, intrinsics, pose, training)
-        if self._kv_memo[0] is not z:
-            with flops.stage("decoder_attn"):
-                kv = [blk.mha.project_kv(z) for blk in self.decoder.blocks]
-            self._kv_memo = (z, kv)
-        return self.decoder(z, intrinsics, pose, training, self._kv_memo[1])
+        return self.decoder(z, intrinsics, pose, training)
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()

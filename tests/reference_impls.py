@@ -7,6 +7,8 @@ functions define what the fast implementations are checked against.
 
 import numpy as np
 
+from raypatch.costmodel import ConvCost, LinearCost, attention_block_cost, upsampling_cnn_cost
+
 
 def matmul_loops(a, b):
     m, k = a.shape
@@ -182,3 +184,81 @@ def trace_ray_scalar(spec, origin, direction, floor_radius=4.0):
             if hit[0] ** 2 + hit[1] ** 2 <= floor_radius ** 2:
                 best_t, best_id = t, len(spec.objects)
     return best_t, best_id
+
+
+# ---------------------------------------------------------------------------
+# reference full-size architectures for the published FLOP comparisons
+# ---------------------------------------------------------------------------
+#
+# Priced in the package's cost vocabulary, which the tests check separately.
+# Hyperparameters below are calibrated reconstructions of the published
+# models (several details are not public); totals land in the documented
+# ratio bands rather than on exact per-model GFLOPs.
+
+SRT_REF = dict(d_model=768, heads=12, d_k=64, d_v=64, enc_blocks=10, dec_blocks=2,
+               conv_channels=(96, 192, 384), ray_channels=120, f=128)
+
+DEFINE_REF = dict(d_model=512, latents=2048, enc_blocks=4, heads=8, d_k=64, d_v=64,
+                  dec_heads=1, dec_d_k=256, dec_d_v=256, f=128,
+                  conv_channels=(64, 128, 256, 512))
+
+
+def reference_srt_layers(height, width, k=1, n_views=1):
+    """SRT-style encoder + decoder at full scale; k > 1 switches to patch queries."""
+    p = SRT_REF
+    layers = []
+    h, w = height, width
+    c_in = 3 + p["ray_channels"]
+    for ch in p["conv_channels"]:  # stride-2 conv stack
+        h, w = h // 2, w // 2
+        layers.append(ConvCost(h, w, c_in, ch))
+        c_in = ch
+    tokens = n_views * h * w
+    layers.append(LinearCost(h * w, c_in, p["d_model"]))  # 1x1 conv to token width
+    for _ in range(p["enc_blocks"]):
+        layers += attention_block_cost(tokens, tokens, p["d_model"], p["heads"],
+                                       p["d_k"], p["d_v"])
+    n_q = height * width // (k * k)
+    for _ in range(p["dec_blocks"]):
+        layers += attention_block_cost(n_q, tokens, p["d_model"], p["heads"],
+                                       p["d_k"], p["d_v"])
+    if k > 1:
+        layers.append(LinearCost(n_q, 120, p["d_model"]))   # query embed
+        layers.append(LinearCost(n_q, p["d_model"], p["f"]))  # feature head
+        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=3)
+    else:
+        layers.append(LinearCost(n_q, p["d_model"], 3))     # rgb head
+    return layers
+
+
+def reference_define_layers(height, width, k=1, n_views=2, in_h=128, in_w=192):
+    """Perceiver-style encoder with a fixed latent set + one-block decoder."""
+    p = DEFINE_REF
+    layers = []
+    h, w = in_h, in_w
+    c_in = 3
+    for ch in p["conv_channels"]:  # conv front end, run once per input view
+        h, w = h // 2, w // 2
+        layers.append(ConvCost(h, w, c_in, ch))
+        c_in = ch
+    layers = layers * n_views
+    in_tokens = n_views * h * w
+    lat = p["latents"]
+    # cross-attend input tokens into the latent set, then latent self-attention
+    layers += attention_block_cost(lat, in_tokens, p["d_model"], p["heads"],
+                                   p["d_k"], p["d_v"])
+    for _ in range(p["enc_blocks"]):
+        layers += attention_block_cost(lat, lat, p["d_model"], p["heads"],
+                                       p["d_k"], p["d_v"])
+    # single cross-attention decode stage: Q/K/V projections, products and
+    # output projection, no feed-forward
+    n_q = height * width // (k * k)
+    layers += attention_block_cost(n_q, lat, p["d_model"], p["dec_heads"],
+                                   p["dec_d_k"], p["dec_d_v"])[:5]
+    if k > 1:
+        layers.append(LinearCost(n_q, 120, p["d_model"]))
+        layers.append(LinearCost(n_q, p["d_model"], p["f"]))
+        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=4)
+    else:
+        layers.append(LinearCost(n_q, p["d_model"], 4))     # rgb-d head
+    return layers

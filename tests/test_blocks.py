@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from raypatch import blocks as B
+from raypatch import flops
 from raypatch import tensor as T
+from raypatch.costmodel import full_model_flops, kv_projection_cost
 from raypatch.tensor import Tensor
 
 from reference_impls import attention_single_head_naive
@@ -118,13 +120,57 @@ class TestMultiHeadAttention:
         np.testing.assert_array_equal(
             mha.out.w.data, B.uniform_init(stream, cfg.heads * cfg.d_v, (cfg.heads * cfg.d_v, 6)))
 
-    def test_projected_kv_gives_the_same_output(self, rng):
+
+class TestKeptKV:
+    """Without recording, cross-attention reuses the K/V of the last ``x_kv`` object."""
+
+    KV_FLOPS = full_model_flops(kv_projection_cost(6, CFG.d_model, CFG.heads, CFG.d_k, CFG.d_v))
+
+    @staticmethod
+    def _counted(mha, x_q, x_kv):
+        with flops.FlopCounter() as fc:
+            out = mha(x_q, x_kv)
+        return out, fc.total
+
+    def test_same_x_kv_reuses_the_projection(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)
-        xq = Tensor(rng.standard_normal((3, 16)))
-        xkv = Tensor(rng.standard_normal((6, 16)))
-        kv = mha.project_kv(xkv)
-        assert [(k_t.shape, v.shape) for k_t, v in kv] == [((8, 6), (6, 8))] * CFG.heads
-        np.testing.assert_array_equal(mha(xq, xkv, kv).data, mha(xq, xkv).data)
+        xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
+        with T.no_grad():
+            first, full = self._counted(mha, xq, xkv)
+            again, reused = self._counted(mha, xq, xkv)
+        np.testing.assert_array_equal(again.data, first.data)
+        assert full - reused == self.KV_FLOPS
+
+    def test_new_x_kv_object_with_equal_values_projects_again(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        xq, kv = Tensor(rng.standard_normal((3, 16))), rng.standard_normal((6, 16))
+        with T.no_grad():
+            first, full = self._counted(mha, xq, Tensor(kv))
+            mha.k_proj.w.data += 1.0  # a new x_kv must see new weights
+            other, again = self._counted(mha, xq, Tensor(kv.copy()))
+        assert again == full
+        assert not np.array_equal(other.data, first.data)
+
+    def test_recorded_call_after_no_grad_call_projects_again(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
+        with T.no_grad():
+            first, full = self._counted(mha, xq, xkv)
+        T.tape_clear()
+        out, recorded = self._counted(mha, xq, xkv)
+        T.backward(T.sum_all(out))
+        assert recorded == full
+        np.testing.assert_array_equal(out.data, first.data)
+        for lin in (mha.k_proj, mha.v_proj):
+            assert lin.w.grad is not None and lin.b.grad is not None
+
+    def test_self_attention_projects_on_every_call(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        x = Tensor(rng.standard_normal((6, 16)))
+        with T.no_grad():
+            _, full = self._counted(mha, x, x)
+            _, again = self._counted(mha, x, x)
+        assert again == full
 
 
 class TestAttnBlock:

@@ -1,6 +1,7 @@
 """CLI behavior: image writers, exit codes, end-to-end command flows."""
 
 import argparse
+import math
 import re
 from pathlib import Path
 
@@ -63,6 +64,10 @@ class TestCostCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["cost", "--family", "nerf"])
         assert exc.value.code == cli.EXIT_BAD_ARGS
+
+    def test_seed_variable_in_the_environment_is_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("RAYPATCH_SEED", "abc")
+        assert cli.main(["cost"]) == cli.EXIT_OK
 
     def test_bad_k_exits_2(self, capsys):
         code = cli.main(["cost", "--family", "rp-srt", "--height", "96",
@@ -146,16 +151,6 @@ class TestPipeline:
                          str(tmp_path / "x.ppm")])
         assert code == cli.EXIT_BAD_ARGS
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RAYPATCH_SEED", "3")
-        p_env = tmp_path / "env.rpds"
-        assert cli.main(["dataset", "--out", str(p_env), "--scenes", "2",
-                         "--height", "8", "--width", "8"]) == cli.EXIT_OK
-        p_flag = tmp_path / "flag.rpds"
-        assert cli.main(["dataset", "--out", str(p_flag), "--scenes", "2",
-                         "--height", "8", "--width", "8", "--seed", "3"]) == cli.EXIT_OK
-        assert p_env.read_bytes() == p_flag.read_bytes()
-
 
 class TestGradcheckCommand:
     def test_passes_and_prints_table(self, capsys):
@@ -199,12 +194,19 @@ class TestBadInvocations:
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
-        # the writer refuses step -1, so rewrite the meta of a valid checkpoint
-        paths["neg_ck"] = d / "neg.rpck"
-        with open(paths["ck"], "rb") as src, open(paths["neg_ck"], "wb") as dst:
-            meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
-            binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, dict(meta, step=-1))
-            dst.write(src.read())
+        # no model with these metas can be built or saved, so rewrite the meta
+        # of a valid checkpoint
+        for name, step, config in (("neg_ck", -1, {}), ("h0_ck", 0, {"height": 0}),
+                                   ("heads0_ck", 0, {"heads": 0}),
+                                   ("r0_ck", 0, {"scene_radius": 0.0}),
+                                   ("rnan_ck", 0, {"scene_radius": math.nan}),
+                                   ("rinf_ck", 0, {"scene_radius": math.inf})):
+            paths[name] = d / f"{name}.rpck"
+            with open(paths["ck"], "rb") as src, open(paths[name], "wb") as dst:
+                meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
+                meta = dict(meta, step=step, config=dict(meta["config"], **config))
+                binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, meta)
+                dst.write(src.read())
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
         return paths
 
@@ -242,6 +244,7 @@ class TestBadInvocations:
         "train_negative_enc_blocks": (TRAIN + ["{ds}", "--enc-blocks", "-1"], "enc_blocks"),
         "train_no_dec_blocks": (TRAIN + ["{ds}", "--dec-blocks", "0"], "dec_blocks"),
         "train_negative_steps": (TRAIN + ["{ds}", "--steps", "-1"], "--steps"),
+        "train_negative_seed": (TRAIN + ["{ds}", "--seed", "-1"], "seed must be at least 0"),
         "train_negative_lr": (TRAIN + ["{ds}", "--lr", "-1"], "--lr"),
         "train_zero_lr": (TRAIN + ["{ds}", "--lr", "0"], "--lr"),
         "train_nan_lr": (TRAIN + ["{ds}", "--lr", "nan"], "--lr"),
@@ -256,6 +259,24 @@ class TestBadInvocations:
         "verify_dataset_as_checkpoint": (["verify-ckpt", "--checkpoint", "{ds}"], "{ds}"),
         "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
         "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
+        "verify_zero_height": (["verify-ckpt", "--checkpoint", "{h0_ck}"],
+                               "{h0_ck}: height must be at least 1"),
+        "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],
+                              "{heads0_ck}: heads must be at least 1"),
+        "verify_zero_radius": (["verify-ckpt", "--checkpoint", "{r0_ck}"],
+                               "{r0_ck}: scene_radius"),
+        "verify_nan_radius": (["verify-ckpt", "--checkpoint", "{rnan_ck}"],
+                              "{rnan_ck}: scene_radius"),
+        "verify_inf_radius": (["verify-ckpt", "--checkpoint", "{rinf_ck}"],
+                              "{rinf_ck}: scene_radius"),
+        "render_zero_height": (RENDER + ["{h0_ck}", "--dataset", "{ds}"],
+                               "{h0_ck}: height must be at least 1"),
+        "render_zero_radius": (RENDER + ["{r0_ck}", "--dataset", "{ds}"],
+                               "{r0_ck}: scene_radius"),
+        "render_nan_radius": (RENDER + ["{rnan_ck}", "--dataset", "{ds}"],
+                              "{rnan_ck}: scene_radius"),
+        "render_inf_radius": (RENDER + ["{rinf_ck}", "--dataset", "{ds}"],
+                              "{rinf_ck}: scene_radius"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,6 +5,8 @@ import pytest
 
 from raypatch import costmodel as C
 
+from reference_impls import reference_define_layers, reference_srt_layers
+
 GIB = 2.0 ** 30
 
 
@@ -144,13 +146,13 @@ class TestModelFlopAudit:
         assert C.ConvCost(8, 8, 4, 16).flops() == 2 * 8 * 8 * 4 * 16 * 9
 
     def test_published_srt_ratio_band(self):
-        srt = C.full_model_flops(C.reference_srt_layers(120, 160))
-        rp = C.full_model_flops(C.reference_srt_layers(120, 160, k=4))
+        srt = C.full_model_flops(reference_srt_layers(120, 160))
+        rp = C.full_model_flops(reference_srt_layers(120, 160, k=4))
         assert 5.5 <= srt / rp <= 8.5
 
     def test_published_define_ratio_band(self):
-        de = C.full_model_flops(C.reference_define_layers(480, 640))
-        rp = C.full_model_flops(C.reference_define_layers(480, 640, k=16))
+        de = C.full_model_flops(reference_define_layers(480, 640))
+        rp = C.full_model_flops(reference_define_layers(480, 640, k=16))
         assert 8.0 <= de / rp <= 12.0
 
     def test_cnn_cost_block_count(self):

@@ -68,6 +68,10 @@ def test_render_shapes_and_range():
     assert view.image.min() >= 0.0 and view.image.max() <= 1.0
 
 
+# sqrt((RIG_RADIUS + FLOOR_RADIUS)^2 + RIG_HEIGHT^2) rounded up: no valid hit is farther
+DEPTH_BOUND = 7.0
+
+
 def test_depth_bound_and_sky():
     spec = ds.generate_scene(7)
     intr, pose = ds.rig_views(32, 32)[0]
@@ -76,7 +80,7 @@ def test_depth_bound_and_sky():
     assert finite.size > 0, "no surface hit at all"
     assert (~np.isfinite(view.depth)).sum() > 0, "expected sky above the horizon"
     assert finite.min() > 0.5
-    assert finite.max() < ds.DEPTH_BOUND
+    assert finite.max() < DEPTH_BOUND
 
 
 def test_sky_pixels_carry_background_color():

@@ -42,10 +42,21 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("feature_channels", 0), ("n_freq_origin", -1), ("n_freq_dir", -1),
-        ("enc_blocks", -1), ("dec_blocks", 0)])
+        ("enc_blocks", -1), ("dec_blocks", 0), ("height", 0), ("width", 0), ("height", -8),
+        ("heads", 0), ("d_k", 0), ("d_v", -1), ("seed", -1)])
     def test_rejects_field_below_its_minimum(self, field, value):
-        with pytest.raises(M.ModelConfigError, match=field):
+        with pytest.raises(M.ModelConfigError, match=f"^{field} must be at least"):
             tiny_cfg(**{field: value})
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_scene_radius_not_finite_and_positive(self, radius):
+        with pytest.raises(M.ModelConfigError, match="scene_radius"):
+            tiny_cfg(scene_radius=radius)
+
+    @pytest.mark.parametrize("out_channels", [3, 5])
+    def test_rejects_an_output_layout_other_than_rgb_and_depth(self, out_channels):
+        with pytest.raises(M.ModelConfigError, match="out_channels"):
+            tiny_cfg(out_channels=out_channels)
 
     def test_rejects_empty_ray_encoding(self):
         with pytest.raises(M.ModelConfigError, match="n_freq_origin \\+ n_freq_dir"):
