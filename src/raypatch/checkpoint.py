@@ -7,11 +7,12 @@ Layout (magic RPCK, integers little-endian):
     per entry: u32 name_len | name utf8 | u32 rank | u64 dim... | f32 payload
 
 The container (magic, version, JSON header) is ``binfile``'s. The meta JSON
-carries the full model config, the decoder kind and the training step
-count, enough to rebuild the model object before filling in weights.
-Entries cover trainable parameters and batch-norm running statistics;
-optimizer state is deliberately not persisted. Values are stored as f32,
-which makes save -> load -> save byte-stable.
+carries every ``ModelConfig`` field (all integers), the decoder kind and the
+training step count, enough to rebuild the model object before filling in
+weights; the output layout and the scene radius are constants of the code,
+not stored. Entries cover trainable parameters and batch-norm running
+statistics; optimizer state is deliberately not persisted. Values are stored
+as f32, which makes save -> load -> save byte-stable, and must be finite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .binfile import read_exact, read_header, write_header
 from .model import DECODERS, LightFieldModel, ModelConfig, ModelConfigError
 
 MAGIC = b"RPCK"
-VERSION = 2  # 2: one fused Q, K and V projection per attention block
+# 2: one fused Q, K and V projection per attention block
+# 3: no out_channels or scene_radius in the config meta: both are code constants
+VERSION = 3
 
 
 def _named_state(model):
@@ -64,14 +67,13 @@ def _check_meta(meta, path):
     config = meta.get("config")
     if not isinstance(config, dict):
         raise ValueError(f"{path}: meta has no 'config' object")
-    fields = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    fields = [f.name for f in dataclasses.fields(ModelConfig)]
     odd = sorted(set(config) ^ set(fields))
     if odd:
         raise ValueError(f"{path}: config key {odd[0]!r} is "
                          f"{'unknown' if odd[0] in config else 'missing'}")
-    for key, kind in fields.items():  # kind: the annotation, as a string
-        allowed = (int, float) if kind == "float" else (int,)
-        if type(config[key]) not in allowed:
+    for key in fields:  # every field is an int
+        if type(config[key]) is not int:
             raise ValueError(f"{path}: config {key!r} has a bad value {config[key]!r}")
     if meta.get("decoder") not in list(DECODERS):  # a list: no hashing of bad values
         raise ValueError(f"{path}: unknown decoder {meta.get('decoder')!r}")
@@ -94,6 +96,8 @@ def load_checkpoint(path):
             shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
             stored[name] = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path),
                                          dtype="<f4").reshape(shape)
+            if not np.isfinite(stored[name]).all():
+                raise ValueError(f"{path}: entry {name!r} holds a non-finite value")
 
     try:
         cfg = ModelConfig(**meta["config"])

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 a check failed, 2 bad arguments or config,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -148,7 +149,7 @@ def _model_cases(rng, seed):
                         n_freq_origin=2, n_freq_dir=2, feature_channels=8,
                         downsamplings=2, seed=seed)
     views = ds.render_scene_views(ds.generate_scene(seed), 8, 8)
-    target = next(v for v in views if v.role == 1)
+    target = views[1]
 
     cases = []
     for kind in ("raypatch", "pixel"):
@@ -198,7 +199,7 @@ def split_scenes(scenes):
     return scenes[:-n_held], scenes[-n_held:]
 
 
-def run_training(dataset_path, decoder, steps, lr, log_every=50, **cfg_overrides):
+def run_training(dataset_path, decoder, steps, lr, log_every, **cfg_overrides):
     """Train on a dataset file; returns (model, held-out metrics, CSV log rows)."""
     if steps < 0:
         raise ValueError(f"--steps must be at least 0, got {steps}")
@@ -232,6 +233,22 @@ def run_training(dataset_path, decoder, steps, lr, log_every=50, **cfg_overrides
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _sweep_values(sweep, text):
+    """The --values items: HxW pairs for --sweep resolution, integers otherwise."""
+    values = []
+    for item in text.split(","):
+        try:
+            if sweep == "resolution":
+                h, w = item.split("x")
+                values.append((int(h), int(w)))
+            else:
+                values.append(int(item))
+        except ValueError:
+            want = "an HxW pair of integers" if sweep == "resolution" else "an integer"
+            raise ValueError(f"--values item {item!r} is not {want}") from None
+    return values
+
+
 def cmd_cost(args):
     cfg = cm.CostConfig(family=args.family, height=args.height, width=args.width,
                         n_views=args.views, k=args.k, heads=args.heads, d_k=args.d_k,
@@ -240,11 +257,7 @@ def cmd_cost(args):
     if args.sweep:
         if not args.values:
             raise ValueError(f"--sweep {args.sweep} needs --values")
-        if args.sweep == "resolution":
-            values = [tuple(int(p) for p in v.split("x")) for v in args.values.split(",")]
-        else:
-            values = [int(v) for v in args.values.split(",")]
-        reports = cm.sweep(cfg, args.sweep, values)
+        reports = cm.sweep(cfg, args.sweep, _sweep_values(args.sweep, args.values))
     else:
         reports = [cm.make_report(cfg)]
 
@@ -280,13 +293,9 @@ def cmd_dataset(args):
 
 
 def cmd_train(args):
-    overrides = dict(k=args.k, d_model=args.d_model, heads=args.heads, d_k=args.d_k,
-                     d_v=args.d_v, feature_channels=args.feature_channels,
-                     downsamplings=args.downsamplings, enc_blocks=args.enc_blocks,
-                     dec_blocks=args.dec_blocks, n_freq_origin=args.freq_origin,
-                     n_freq_dir=args.freq_dir, seed=args.seed)
+    overrides = {field: getattr(args, field) for field in _model_fields() if field in args}
     model, held, rows = run_training(args.dataset, args.decoder, args.steps, args.lr,
-                                     log_every=args.log_every, **overrides)
+                                     args.log_every, **overrides)
     for row in rows[1:]:
         print(row)
     print(f"held-out: psnr {held['psnr']:.2f} dB, loss {held['loss']:.4f}")
@@ -301,7 +310,7 @@ def cmd_train(args):
 
 def cmd_render(args):
     model, meta = ckpt.load_checkpoint(args.checkpoint)
-    _, scenes = ds.load_dataset(args.dataset)
+    header, scenes = ds.load_dataset(args.dataset)
     if not 0 <= args.scene < len(scenes):
         raise ValueError(f"--scene {args.scene} out of range (0..{len(scenes) - 1})")
     views = scenes[args.scene]
@@ -312,6 +321,10 @@ def cmd_render(args):
     if args.target:
         rgb, depth = chosen.image, chosen.depth
     else:
+        cfg = model.cfg
+        if (cfg.height, cfg.width) != (header["h"], header["w"]):
+            raise ValueError(f"{args.checkpoint} holds a {cfg.height}x{cfg.width} model, "
+                             f"but {args.dataset} holds {header['h']}x{header['w']} views")
         inputs, _ = M.scene_to_views(views)
         with T.no_grad():
             z = model.encode(inputs, training=False)
@@ -371,18 +384,9 @@ def cmd_verify_ckpt(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-k", type=int, default=32)
-    p.add_argument("--d-v", type=int, default=32)
-    p.add_argument("--feature-channels", type=int, default=32)
-    p.add_argument("--downsamplings", type=int, default=2)
-    p.add_argument("--enc-blocks", type=int, default=2)
-    p.add_argument("--dec-blocks", type=int, default=2)
-    p.add_argument("--freq-origin", type=int, default=10)
-    p.add_argument("--freq-dir", type=int, default=10)
+def _model_fields():
+    """The ModelConfig fields that train flags set; the dataset sets height and width."""
+    return [f.name for f in dataclasses.fields(M.ModelConfig) if f.name not in ("height", "width")]
 
 
 def build_parser():
@@ -422,8 +426,9 @@ def build_parser():
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--log", help="write the training CSV here")
     p.add_argument("--checkpoint", help="write the final model here")
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p)
+    for field in _model_fields():  # a flag left out stays absent: ModelConfig has the default
+        p.add_argument("--" + field.removeprefix("n_").replace("_", "-"), dest=field, type=int,
+                       default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("render", help="decode one view from a checkpoint")

@@ -3,7 +3,7 @@
 A scene is 2-4 Lambertian primitives (spheres and axis-aligned boxes) resting
 near the origin on a finite floor disc. Cameras sit on a fixed rig: a circle
 of radius 2.5 at height 0.8, looking at the origin, vertical FOV 45 degrees,
-three views 120 degrees apart. One view per scene is the encoder input, the
+three views 120 degrees apart. View 0 of each scene is the encoder input, the
 other two are supervision targets.
 
 Depth is Euclidean distance along the unit pixel ray; sky pixels carry NaN
@@ -14,6 +14,7 @@ is documented next to the writer.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -28,14 +29,13 @@ RIG_HEIGHT = 0.8
 VFOV_DEG = 45.0
 FLOOR_RADIUS = 4.0
 RIG_VIEWS = 3
-RIG_ROLES = (0,) + (1,) * (RIG_VIEWS - 1)  # view 0 is the encoder input, the rest targets
 
 LIGHT_DIR = np.array([0.5, 0.3, -1.0]) / np.linalg.norm([0.5, 0.3, -1.0])  # travel direction
 AMBIENT = 0.3
 BACKGROUND = np.array([0.75, 0.82, 0.90])
 
 MAGIC = b"RPDS"
-VERSION = 1
+VERSION = 2  # 2: no per-view role byte; view 0 is the encoder input by position
 _EPS = 1e-9
 
 
@@ -67,7 +67,6 @@ class SceneSpec:
 class ViewSample:
     image: np.ndarray   # [3, h, w] float32 in [0, 1]
     depth: np.ndarray   # [h, w] float32, NaN where the ray hit nothing
-    role: int           # 0 = encoder input, 1 = target
     intrinsics: CameraIntrinsics
     pose: CameraPose
 
@@ -222,7 +221,7 @@ def shade(spec, hit_id, points):
     return colors
 
 
-def render_view(spec, intrinsics, pose, height, width, role=1):
+def render_view(spec, intrinsics, pose, height, width):
     """Ray-cast one view: [3, h, w] image, per-pixel depth with NaN sky."""
     centers = patch_centers(PatchGrid(height, width, 1))  # pixel centers, row-major
     dirs = unproject(intrinsics, pose, centers)
@@ -233,31 +232,29 @@ def render_view(spec, intrinsics, pose, height, width, role=1):
     image = colors.reshape(height, width, 3).transpose(2, 0, 1)
     depth = np.where(np.isfinite(t), t, np.nan).reshape(height, width)
     return ViewSample(image=image.astype(np.float32), depth=depth.astype(np.float32),
-                      role=role, intrinsics=intrinsics, pose=pose)
+                      intrinsics=intrinsics, pose=pose)
 
 
 def render_scene_views(spec, height, width):
     """The three rig views of one scene; view 0 is the encoder input."""
-    views = []
-    for i, (intr, pose) in enumerate(rig_views(height, width)):
-        views.append(render_view(spec, intr, pose, height, width, role=RIG_ROLES[i]))
-    return views
+    return [render_view(spec, intr, pose, height, width)
+            for intr, pose in rig_views(height, width)]
 
 
 # ---------------------------------------------------------------------------
 # dataset file format
 #
 #   binfile container: magic "RPDS" | u32 version | u64 header_len | header JSON
-#   then per scene, per view (RIG_VIEWS of them):
+#   then per scene, per view (RIG_VIEWS of them, view 0 the encoder input):
 #     pose 12 f64 (rotation rows, then origin) | intrinsics 4 f64 (fx fy cx cy)
-#     rgb 3*h*w f32 | depth h*w f32 (NaN = no hit) | role u8
-#   all integers little-endian
+#     rgb 3*h*w f32 | depth h*w f32 (NaN = no hit)
+#   all numbers little-endian
 # ---------------------------------------------------------------------------
 
 def predicted_file_size(n_scenes, height, width, seed):
     header = write_header(io.BytesIO(), MAGIC, VERSION,
                           _header_dict(n_scenes, height, width, seed))
-    per_view = 12 * 8 + 4 * 8 + 3 * height * width * 4 + height * width * 4 + 1
+    per_view = 12 * 8 + 4 * 8 + 3 * height * width * 4 + height * width * 4
     return header + n_scenes * RIG_VIEWS * per_view
 
 
@@ -295,7 +292,6 @@ def _write_view(fh, view):
     fh.write(struct.pack("<4d", k.fx, k.fy, k.cx, k.cy))
     fh.write(view.image.astype("<f4").tobytes())
     fh.write(view.depth.astype("<f4").tobytes())
-    fh.write(struct.pack("B", view.role))
 
 
 def load_dataset(path):
@@ -312,12 +308,28 @@ def load_dataset(path):
         scenes = []
         for s in range(header["n_scenes"]):
             views = [_read_view(fh, h, w) for _ in range(RIG_VIEWS)]
-            for v, (view, role) in enumerate(zip(views, RIG_ROLES)):
-                if view.role != role:
-                    raise ValueError(f"{path}: scene {s} view {v} has role {view.role}, "
-                                     f"not {role} (0 = encoder input, 1 = target)")
+            for v, view in enumerate(views):
+                fault = _view_fault(view)
+                if fault:
+                    raise ValueError(f"{path}: scene {s} view {v}: {fault}")
             scenes.append(views)
         return header, scenes
+
+
+def _view_fault(view):
+    """What makes a loaded view unusable, or None. Depth may be NaN (sky), not <= 0."""
+    for name, arr in (("rotation", view.pose.rotation), ("origin", view.pose.origin),
+                      ("image", view.image)):
+        if not np.isfinite(arr).all():
+            return f"{name} holds a non-finite value"
+    k = view.intrinsics
+    if not all(map(math.isfinite, (k.fx, k.fy, k.cx, k.cy))):
+        return "intrinsics hold a non-finite value"
+    if not (k.fx > 0 and k.fy > 0):
+        return f"focal length fx={k.fx}, fy={k.fy} is not above 0"
+    if (view.depth <= 0).any():
+        return "depth holds a value at or below 0"
+    return None
 
 
 def _read_view(fh, h, w):
@@ -326,7 +338,6 @@ def _read_view(fh, h, w):
     fx, fy, cx, cy = struct.unpack("<4d", fh.read(32))
     image = np.frombuffer(fh.read(3 * h * w * 4), dtype="<f4").reshape(3, h, w)
     depth = np.frombuffer(fh.read(h * w * 4), dtype="<f4").reshape(h, w)
-    (role,) = struct.unpack("B", fh.read(1))
-    return ViewSample(image=image.copy(), depth=depth.copy(), role=role,
+    return ViewSample(image=image.copy(), depth=depth.copy(),
                       intrinsics=CameraIntrinsics(fx, fy, cx, cy),
                       pose=CameraPose(rot.copy(), origin.copy()))

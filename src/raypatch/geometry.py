@@ -21,6 +21,11 @@ import numpy as np
 from .tensor import Tensor
 
 
+# camera origins are divided by this before Fourier encoding; every rig camera
+# sits within it, which keeps the encoding arguments within one period
+SCENE_RADIUS = 3.0
+
+
 class GridError(ValueError):
     """Patch size incompatible with the image dimensions."""
 
@@ -124,29 +129,28 @@ def query_dim(f_origin, f_dir):
     return 6 * f_origin + 6 * f_dir
 
 
-def build_queries(intrinsics, pose, grid, f_origin=10, f_dir=10, scene_radius=3.0):
+def build_queries(intrinsics, pose, grid, f_origin, f_dir):
     """Fourier-encoded (origin, direction) rows for every patch of a target view.
 
     Returns a Tensor [n_patches, 6*f_origin + 6*f_dir], rows in the same
     row-major patch order as ``patch_centers``. The origin is divided by
-    ``scene_radius`` before encoding to keep the encoding arguments within
-    one period.
+    ``SCENE_RADIUS`` before encoding.
     """
     centers = patch_centers(grid)
     dirs = unproject(intrinsics, pose, centers)
-    o_scaled = pose.origin / scene_radius
+    o_scaled = pose.origin / SCENE_RADIUS
     o_enc = fourier_encode(o_scaled, f_origin)  # [6*f_origin]
     o_rows = np.tile(o_enc, (grid.n_patches, 1))
     d_rows = fourier_encode(dirs, f_dir)  # [n, 6*f_dir]
     return Tensor(np.concatenate([o_rows, d_rows], axis=1))
 
 
-def ray_feature_map(intrinsics, pose, height, width, f_origin=10, f_dir=10, scene_radius=3.0):
+def ray_feature_map(intrinsics, pose, height, width, f_origin, f_dir):
     """Per-pixel query encoding reshaped to channels: [6*(f_o+f_d), h, w].
 
     Same features as ``build_queries`` on the k=1 grid, for concatenating to
     image channels before the encoder convolutions.
     """
     grid = PatchGrid(height, width, 1)
-    q = build_queries(intrinsics, pose, grid, f_origin, f_dir, scene_radius)
+    q = build_queries(intrinsics, pose, grid, f_origin, f_dir)
     return q.data.reshape(height, width, -1).transpose(2, 0, 1).copy()

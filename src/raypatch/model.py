@@ -62,8 +62,6 @@ class ModelConfig:
     n_freq_origin: int = 10
     n_freq_dir: int = 10
     feature_channels: int = 32
-    out_channels: int = 4  # RGB + log depth
-    scene_radius: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
@@ -74,10 +72,6 @@ class ModelConfig:
             if getattr(self, name) < low:
                 raise ModelConfigError(f"{name} must be at least {low}, "
                                        f"got {getattr(self, name)}")
-        if not (math.isfinite(self.scene_radius) and self.scene_radius > 0):
-            raise ModelConfigError(f"scene_radius must be finite and > 0, got {self.scene_radius}")
-        if self.out_channels != 4:  # the RGB + log depth layout split_output cuts
-            raise ModelConfigError(f"out_channels must be 4, got {self.out_channels}")
         if self.k < 1 or self.k & (self.k - 1):
             raise ModelConfigError(f"patch size must be a power of two, got {self.k}")
         if self.height % self.k or self.width % self.k:
@@ -171,7 +165,7 @@ class Encoder:
         tokens = []
         for image, intr, pose in views:
             rays = ray_feature_map(intr, pose, cfg.height, cfg.width,
-                                   cfg.n_freq_origin, cfg.n_freq_dir, cfg.scene_radius)
+                                   cfg.n_freq_origin, cfg.n_freq_dir)
             if isinstance(image, T.Tensor):  # differentiable input path
                 x = T.concat([image, T.Tensor(rays)], axis=0)
             else:
@@ -229,8 +223,7 @@ class _QueryDecoder:
         """The queries through embed, blocks and ``head``, in stage decoder_attn."""
         cfg = self.cfg
         grid = PatchGrid(cfg.height, cfg.width, self.k)
-        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir,
-                          cfg.scene_radius)
+        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir)
         flops.count_queries("decoder", grid.n_patches)
         with flops.stage("decoder_attn"):
             x = self.embed(q)
@@ -272,10 +265,10 @@ class RayPatchDecoder(_QueryDecoder):
         self.taps, self.body = [], []
         ch = cfg.feature_channels
         for _ in range(int(round(math.log2(cfg.k)))):
-            self.taps.append(Conv3x3(rng, ch, cfg.out_channels))
+            self.taps.append(Conv3x3(rng, ch, OUT_CHANNELS))
             self.body.append(ConvBlock(rng, ch, ch // 2))
             ch //= 2
-        self.final = Conv3x3(rng, ch, cfg.out_channels)
+        self.final = Conv3x3(rng, ch, OUT_CHANNELS)
 
     def __call__(self, z, intrinsics, pose, training):
         cfg = self.cfg
@@ -310,7 +303,7 @@ class RayPatchDecoder(_QueryDecoder):
     def _head_cost(self, n_q):
         cfg = self.cfg
         return [LinearCost(n_q, cfg.d_model, cfg.feature_channels)] + upsampling_cnn_cost(
-            cfg.k, cfg.height, cfg.width, cfg.feature_channels, cfg.out_channels)
+            cfg.k, cfg.height, cfg.width, cfg.feature_channels, OUT_CHANNELS)
 
 
 class PixelDecoder(_QueryDecoder):
@@ -323,14 +316,14 @@ class PixelDecoder(_QueryDecoder):
     def __init__(self, cfg, rng):
         super().__init__(cfg, rng, 1)
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
-        self.head2 = Linear(rng, 2 * cfg.d_model, cfg.out_channels)
+        self.head2 = Linear(rng, 2 * cfg.d_model, OUT_CHANNELS)
 
     def __call__(self, z, intrinsics, pose, training):
         cfg = self.cfg
         out = self._attend(z, intrinsics, pose,
                            lambda x: self.head2(T.leaky_relu(self.head1(x))))
         return T.reshape(T.transpose(out, (1, 0)),
-                         (cfg.out_channels, cfg.height, cfg.width))
+                         (OUT_CHANNELS, cfg.height, cfg.width))
 
     def params(self):
         return super().params() + self.head1.params("dec.head1") + self.head2.params("dec.head2")
@@ -340,7 +333,7 @@ class PixelDecoder(_QueryDecoder):
 
     def _head_cost(self, n_q):
         d = self.cfg.d_model
-        return [LinearCost(n_q, d, 2 * d), LinearCost(n_q, 2 * d, self.cfg.out_channels)]
+        return [LinearCost(n_q, d, 2 * d), LinearCost(n_q, 2 * d, OUT_CHANNELS)]
 
 
 DECODERS = {"raypatch": RayPatchDecoder, "pixel": PixelDecoder}
@@ -370,7 +363,7 @@ class LightFieldModel:
         return self.encoder(views, training)
 
     def decode(self, z, intrinsics, pose, training=False):
-        """Output [out_channels, h, w] of one target view from tokens ``z``.
+        """Output [OUT_CHANNELS, h, w] of one target view from tokens ``z``.
 
         ``z`` must come from an encode under the current weights: without
         gradient recording, the decoder blocks keep the K/V of the last ``z``.
@@ -388,8 +381,11 @@ class LightFieldModel:
 # outputs and losses
 # ---------------------------------------------------------------------------
 
+OUT_CHANNELS = 4  # RGB + log depth, the layout split_output cuts
+
+
 def split_output(out):
-    """[4, h, w] model output -> (rgb [3, h, w], log_depth [h, w])."""
+    """[OUT_CHANNELS, h, w] model output -> (rgb [3, h, w], log_depth [h, w])."""
     rgb, logd = T.split(out, [3, 1], axis=0)
     return rgb, T.reshape(logd, out.shape[1:])
 
@@ -433,13 +429,18 @@ def psnr(pred, target):
 # optimization
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0  # largest global gradient norm an Adam step uses
+
+
 class Adam:
     """Adam with bias correction and a global gradient-norm clip."""
 
-    def __init__(self, named_params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
-                 clip=1.0):
+    def __init__(self, named_params, lr):
         self.params = list(named_params)
-        self.lr, self.beta1, self.beta2, self.eps, self.clip = lr, beta1, beta2, eps, clip
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
@@ -447,16 +448,16 @@ class Adam:
     def step(self):
         self.t += 1
         norm = T.global_grad_norm([p for _, p in self.params])
-        scale = 1.0 if norm <= self.clip else self.clip / norm
+        scale = 1.0 if norm <= GRAD_CLIP else GRAD_CLIP / norm
         for i, (_, p) in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad * scale
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self):
         for _, p in self.params:
@@ -464,10 +465,9 @@ class Adam:
 
 
 def scene_to_views(views):
-    """ViewSample list -> (encoder inputs, supervision targets)."""
-    inputs = [(v.image, v.intrinsics, v.pose) for v in views if v.role == 0]
-    targets = [v for v in views if v.role == 1]
-    return inputs, targets
+    """ViewSample list -> (encoder inputs, supervision targets): view 0 is the
+    encoder input, the rest are targets."""
+    return [(v.image, v.intrinsics, v.pose) for v in views[:1]], views[1:]
 
 
 def train_step(model, views, opt):

@@ -24,6 +24,11 @@ import numpy as np
 from . import flops
 
 
+LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
+NORM_EPS = 1e-5     # added to the variance by layer_norm and batch_norm
+BN_MOMENTUM = 0.9   # weight of the old value in batch_norm's running statistics
+
+
 class DimensionError(ValueError):
     """Shape or rank mismatch in a tensor op."""
 
@@ -203,10 +208,10 @@ def bias_add_rows(x, b):
     return out
 
 
-def leaky_relu(x, slope=0.2):
+def leaky_relu(x):
     mask = x.data >= 0
-    out = Tensor(np.where(mask, x.data, slope * x.data), requires_grad=x.requires_grad)
-    _record(out, lambda g: _accumulate(x, np.where(mask, g, slope * g)))
+    out = Tensor(np.where(mask, x.data, LEAKY_SLOPE * x.data), requires_grad=x.requires_grad)
+    _record(out, lambda g: _accumulate(x, np.where(mask, g, LEAKY_SLOPE * g)))
     return out
 
 
@@ -356,7 +361,7 @@ def softmax_rows(x):
     return out
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize each row of [n, d] to zero mean / unit variance, then affine."""
     if x.data.ndim != 2:
         raise DimensionError("layer_norm expects rank 2")
@@ -366,7 +371,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gamma.data[None, :] + beta.data[None, :],
                  requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
@@ -390,18 +395,16 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 class BatchNormState:
     """Running statistics for one batch-norm layer (part of model state)."""
 
-    def __init__(self, channels, momentum=0.9, eps=1e-5):
+    def __init__(self, channels):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm(x, gamma, beta, state, training):
     """Per-channel normalization of a [c, h, w] map.
 
     Train mode normalizes with the current map's spatial statistics and
-    updates ``state`` as running = momentum * running + (1 - momentum) * batch
+    updates ``state`` as running = m * running + (1 - m) * batch, m = BN_MOMENTUM
     (biased variance throughout). Eval mode normalizes with the stored
     running statistics.
     """
@@ -410,19 +413,18 @@ def batch_norm(x, gamma, beta, state, training):
     c = x.shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError("batch_norm affine params must be [c]")
-    eps = state.eps
     if training:
         mu = x.data.mean(axis=(1, 2))
         xc = x.data - mu[:, None, None]
         var = (xc * xc).mean(axis=(1, 2))
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
     else:
         mu = state.running_mean
         var = state.running_var
         xc = x.data - mu[:, None, None]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv[:, None, None]
     out = Tensor(xhat * gamma.data[:, None, None] + beta.data[:, None, None],
                  requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)

@@ -1,8 +1,10 @@
 """CLI behavior: image writers, exit codes, end-to-end command flows."""
 
 import argparse
+import dataclasses
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +171,19 @@ def test_readme_table_lists_exactly_the_subcommands():
     assert sorted(listed) == sorted(sub.choices)
 
 
+def test_train_model_flags_are_the_config_fields_without_defaults():
+    """ModelConfig holds the only copy of each model default: every field but
+    height and width (the dataset's) has a train flag of that dest, which stays
+    absent unless given."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    run_flags = {"help", "dataset", "decoder", "steps", "lr", "log_every", "log", "checkpoint"}
+    model_flags = [a for a in sub.choices["train"]._actions if a.dest not in run_flags]
+    fields = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"height", "width"}
+    assert sorted(a.dest for a in model_flags) == sorted(fields)
+    assert [a.dest for a in model_flags if a.default is not argparse.SUPPRESS] == []
+
+
 class TestBadInvocations:
     """Bad arguments and bad files: exit 2, an ``error:`` line, no traceback."""
 
@@ -181,26 +196,29 @@ class TestBadInvocations:
         for name, n in (("ds", 2), ("one", 1), ("none", 0)):
             ds.make_dataset(paths[name], n_scenes=n, height=8, width=8, seed=0)
         paths["cut_ds"].write_bytes(paths["ds"].read_bytes()[:-100])
-        # role bytes end each view; encoder view 0 of scene 0 marked as a target,
-        # and target view 2 of scene 1 given a role that does not exist
-        raw = bytearray(paths["ds"].read_bytes())
-        head = ds.predicted_file_size(0, 8, 8, 0)
-        per_view = (len(raw) - head) // (2 * ds.RIG_VIEWS)
-        for name, view, role in (("role_enc", 0, 1), ("role_7", 5, 7)):
+        paths["ds16"] = d / "ds16.rpds"
+        ds.make_dataset(paths["ds16"], n_scenes=1, height=16, width=16, seed=0)
+        # one bad value in one view of the 2-scene file; a view is pose (12 f64),
+        # intrinsics (fx fy cx cy, f64), rgb (3*8*8 f32) and depth (8*8 f32)
+        raw = paths["ds"].read_bytes()
+        per_view = 16 * 8 + 4 * 8 * 8 * 4
+        head = len(raw) - 2 * ds.RIG_VIEWS * per_view
+        for name, view, at, fmt, value in (("nan_rotation", 4, 0, "<d", math.nan),
+                                           ("inf_pixel", 2, 128 + 40, "<f", math.inf),
+                                           ("zero_fx", 3, 96, "<d", 0.0),
+                                           ("nan_cx", 0, 112, "<d", math.nan),
+                                           ("zero_depth", 1, 128 + 768, "<f", 0.0)):
             paths[name] = d / f"{name}.rpds"
-            flipped = raw.copy()
-            flipped[head + (view + 1) * per_view - 1] = role
-            paths[name].write_bytes(bytes(flipped))
+            bad = bytearray(raw)
+            struct.pack_into(fmt, bad, head + view * per_view + at, value)
+            paths[name].write_bytes(bytes(bad))
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
         # no model with these metas can be built or saved, so rewrite the meta
         # of a valid checkpoint
         for name, step, config in (("neg_ck", -1, {}), ("h0_ck", 0, {"height": 0}),
-                                   ("heads0_ck", 0, {"heads": 0}),
-                                   ("r0_ck", 0, {"scene_radius": 0.0}),
-                                   ("rnan_ck", 0, {"scene_radius": math.nan}),
-                                   ("rinf_ck", 0, {"scene_radius": math.inf})):
+                                   ("heads0_ck", 0, {"heads": 0})):
             paths[name] = d / f"{name}.rpck"
             with open(paths["ck"], "rb") as src, open(paths[name], "wb") as dst:
                 meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
@@ -208,6 +226,9 @@ class TestBadInvocations:
                 binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, meta)
                 dst.write(src.read())
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
+        # the last f32 of the file belongs to the last entry, a batch-norm buffer
+        paths["nan_ck"] = d / "nan.rpck"
+        paths["nan_ck"].write_bytes(paths["ck"].read_bytes()[:-4] + struct.pack("<f", math.nan))
         return paths
 
     TRAIN = ["train", "--steps", "1", "--k", "2", "--d-model", "16", "--d-k", "8",
@@ -223,6 +244,12 @@ class TestBadInvocations:
         "cost_negative_d_k": (["cost", "--d-k", "-5"], "d_k"),
         "cost_zero_latents": (["cost", "--family", "define", "--latents", "0"], "n_latent"),
         "cost_sweep_zero_heads": (["cost", "--sweep", "heads", "--values", "0"], "heads"),
+        "cost_resolution_without_x": (["cost", "--sweep", "resolution", "--values", "64x64,32"],
+                                      "--values item '32' is not an HxW pair"),
+        "cost_resolution_with_two_x": (["cost", "--sweep", "resolution", "--values", "32x32x2"],
+                                       "--values item '32x32x2' is not an HxW pair"),
+        "cost_k_not_a_number": (["cost", "--sweep", "k", "--values", "2,a"],
+                                "--values item 'a' is not an integer"),
         "gradcheck_zero_seeds": (["gradcheck", "--seeds", "0"], "--seeds"),
         "gradcheck_negative_seeds": (["gradcheck", "--seeds", "-2"], "--seeds"),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
@@ -232,8 +259,16 @@ class TestBadInvocations:
         "train_no_scene": (TRAIN + ["{none}"], "{none}"),
         "train_cut_dataset": (TRAIN + ["{cut_ds}"], "{cut_ds}"),
         "train_missing_dataset": (TRAIN + ["{ds}.gone"], "{ds}.gone"),
-        "train_encoder_view_as_target": (TRAIN + ["{role_enc}"], "{role_enc}: scene 0 view 0"),
-        "train_unknown_role": (TRAIN + ["{role_7}"], "{role_7}: scene 1 view 2"),
+        "train_nan_rotation": (TRAIN + ["{nan_rotation}"],
+                               "{nan_rotation}: scene 1 view 1: rotation holds a non-finite"),
+        "train_inf_pixel": (TRAIN + ["{inf_pixel}"],
+                            "{inf_pixel}: scene 0 view 2: image holds a non-finite"),
+        "train_zero_focal_length": (TRAIN + ["{zero_fx}"],
+                                    "{zero_fx}: scene 1 view 0: focal length fx=0.0"),
+        "train_nan_cx": (TRAIN + ["{nan_cx}"],
+                         "{nan_cx}: scene 0 view 0: intrinsics hold a non-finite value"),
+        "train_zero_depth": (TRAIN + ["{zero_depth}"],
+                             "{zero_depth}: scene 0 view 1: depth holds a value at or below 0"),
         "train_no_downsampling": (TRAIN + ["{ds}", "--downsamplings", "0"], "downsamplings"),
         "train_no_feature_channels": (TRAIN + ["{ds}", "--feature-channels", "0"],
                                       "feature_channels"),
@@ -263,20 +298,14 @@ class TestBadInvocations:
                                "{h0_ck}: height must be at least 1"),
         "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],
                               "{heads0_ck}: heads must be at least 1"),
-        "verify_zero_radius": (["verify-ckpt", "--checkpoint", "{r0_ck}"],
-                               "{r0_ck}: scene_radius"),
-        "verify_nan_radius": (["verify-ckpt", "--checkpoint", "{rnan_ck}"],
-                              "{rnan_ck}: scene_radius"),
-        "verify_inf_radius": (["verify-ckpt", "--checkpoint", "{rinf_ck}"],
-                              "{rinf_ck}: scene_radius"),
+        "verify_nan_weight": (["verify-ckpt", "--checkpoint", "{nan_ck}"],
+                              "{nan_ck}: entry 'dec.body0.running_var' holds a non-finite"),
         "render_zero_height": (RENDER + ["{h0_ck}", "--dataset", "{ds}"],
                                "{h0_ck}: height must be at least 1"),
-        "render_zero_radius": (RENDER + ["{r0_ck}", "--dataset", "{ds}"],
-                               "{r0_ck}: scene_radius"),
-        "render_nan_radius": (RENDER + ["{rnan_ck}", "--dataset", "{ds}"],
-                              "{rnan_ck}: scene_radius"),
-        "render_inf_radius": (RENDER + ["{rinf_ck}", "--dataset", "{ds}"],
-                              "{rinf_ck}: scene_radius"),
+        "render_nan_weight": (RENDER + ["{nan_ck}", "--dataset", "{ds}"],
+                              "{nan_ck}: entry 'dec.body0.running_var' holds a non-finite"),
+        "render_size_mismatch": (RENDER + ["{ck}", "--dataset", "{ds16}"],
+                                 "{ck} holds a 8x8 model, but {ds16} holds 16x16 views"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

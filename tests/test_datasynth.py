@@ -147,7 +147,8 @@ def test_dataset_size_roundtrip(tmp_path):
     header, scenes = ds.load_dataset(path)
     assert header == {"h": 16, "n_scenes": 3, "seed": 11, "w": 16}
     assert len(scenes) == 3 and all(len(v) == 3 for v in scenes)
-    assert [v.role for v in scenes[0]] == [0, 1, 1]
+    assert [v.pose.origin.tolist() for v in scenes[0]] == [
+        pose.origin.tolist() for _, pose in ds.rig_views(16, 16)]  # view 0 first
 
     fresh = ds.render_scene_views(ds.generate_scene(11 + 2), 16, 16)
     for got, want in zip(scenes[2], fresh):

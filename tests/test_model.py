@@ -48,16 +48,6 @@ class TestConfig:
         with pytest.raises(M.ModelConfigError, match=f"^{field} must be at least"):
             tiny_cfg(**{field: value})
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_scene_radius_not_finite_and_positive(self, radius):
-        with pytest.raises(M.ModelConfigError, match="scene_radius"):
-            tiny_cfg(scene_radius=radius)
-
-    @pytest.mark.parametrize("out_channels", [3, 5])
-    def test_rejects_an_output_layout_other_than_rgb_and_depth(self, out_channels):
-        with pytest.raises(M.ModelConfigError, match="out_channels"):
-            tiny_cfg(out_channels=out_channels)
-
     def test_rejects_empty_ray_encoding(self):
         with pytest.raises(M.ModelConfigError, match="n_freq_origin \\+ n_freq_dir"):
             tiny_cfg(n_freq_origin=0, n_freq_dir=0)
@@ -120,7 +110,7 @@ class TestForward:
             return
         with flops.FlopCounter() as fc:
             if mode == "train_step":
-                M.train_step(m, views, M.Adam(m.named_parameters()))
+                M.train_step(m, views, M.Adam(m.named_parameters(), 1e-4))
             else:
                 z = m.encode(inputs, training=True)
                 m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
@@ -312,7 +302,7 @@ class TestGradients:
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
         views = scene_views()
         img = T.parameter(views[0].image.astype(np.float64))
-        targets = [v for v in views if v.role == 1]
+        targets = views[1:]
 
         def f(leaf):
             z = m.encode([(leaf, views[0].intrinsics, views[0].pose)],
@@ -328,7 +318,7 @@ class TestTraining:
     def test_adam_first_step_magnitude(self):
         p = T.parameter(np.zeros(3))
         p.grad = np.array([0.3, -0.2, 0.1])
-        opt = M.Adam([("p", p)], lr=0.01, clip=1e9)
+        opt = M.Adam([("p", p)], lr=0.01)
         opt.step()
         # bias-corrected first step is lr * sign(g) up to eps
         np.testing.assert_allclose(p.data, [-0.01, 0.01, -0.01], atol=1e-6)
@@ -336,7 +326,7 @@ class TestTraining:
     def test_adam_global_clip(self):
         p = T.parameter(np.zeros(4))
         p.grad = np.full(4, 1e6)
-        opt = M.Adam([("p", p)], lr=0.01, clip=1.0)
+        opt = M.Adam([("p", p)], lr=0.01)
         opt.step()
         # clipping rescales, Adam renormalizes; update must stay ~lr sized
         assert np.abs(p.data).max() <= 0.011
