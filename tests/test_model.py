@@ -331,6 +331,18 @@ class TestTraining:
         # clipping rescales, Adam renormalizes; update must stay ~lr sized
         assert np.abs(p.data).max() <= 0.011
 
+    def test_adam_updates_its_moments_in_place(self):
+        p = T.parameter(np.zeros(3))
+        opt = M.Adam([("p", p)], lr=0.01)
+        m, v = opt.m[0], opt.v[0]
+        for g in ([0.3, -0.2, 0.1], [-0.1, 0.4, 0.2]):
+            p.grad = np.array(g)
+            opt.step()
+        # the same arrays: a per-step reallocation left peak RSS to chance
+        assert opt.m[0] is m and opt.v[0] is v
+        np.testing.assert_allclose(m, 0.1 * 0.9 * np.array([0.3, -0.2, 0.1])
+                                   + 0.1 * np.array([-0.1, 0.4, 0.2]))
+
     def test_train_step_updates_params_and_running_stats(self):
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
         views = scene_views()
