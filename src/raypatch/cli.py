@@ -342,6 +342,8 @@ def cmd_render(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     worst = {}

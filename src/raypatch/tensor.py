@@ -5,7 +5,16 @@ Design:
   * executed ops append ``(output, backward_fn)`` records to a module-level
     tape, so the backward pass replays the tape in exact reverse execution
     order and visits each node once;
-  * one tape per training step: ``backward`` consumes and frees it;
+  * one tape per training step: ``backward`` pops each record as it runs it,
+    so a record's closure, the forward arrays only it holds and the output's
+    gradient are freed as the sweep passes them; afterwards only leaves
+    (parameters, ``grad_check`` inputs) hold a ``.grad``;
+  * gradients are handed over, not copied, by one rule: an op passes
+    ``owned=True`` to ``_accumulate`` only for an array it just allocated
+    and gives to exactly one input. Views (``reshape``, ``concat``,
+    ``split``, ``conv2d``'s unpadded slice), one array given to two inputs
+    (``add``) and what may be the incoming gradient itself (``transpose``)
+    are copied when they are an input's first gradient;
   * no broadcasting beyond explicit bias adds — shape mismatches raise
     ``DimensionError`` instead of silently broadcasting.
 
@@ -110,21 +119,28 @@ def parameter(data):
     return t
 
 
-def _accumulate(t, g):
+def _accumulate(t, g, owned=False):
+    """Add ``g`` into ``t.grad``. ``owned``: ``g`` is a fresh array that no one
+    else holds, so a first gradient may be stored as it is instead of copied.
+    A numpy scalar (the product of a 0-d gradient) is stored as a 0-d array."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif owned and isinstance(g, np.ndarray):
+        t.grad = g
+    else:
+        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
 
 
 def backward(loss):
     """Reverse-mode sweep from scalar ``loss`` through the recorded tape.
 
-    Consumes the tape: records are freed afterwards, so each recorded graph
-    supports exactly one backward call. Ops whose outputs the loss never
-    used contribute nothing (their output grad stays ``None``).
+    Consumes the tape: each record is popped before its backward runs and
+    the output's gradient is taken off it, so both are freed as soon as the
+    sweep has passed them, and each recorded graph supports exactly one
+    backward call. Afterwards only leaves hold a ``.grad``. Ops whose outputs
+    the loss never used contribute nothing.
     """
     global _tape
     if _tape is None:
@@ -135,9 +151,11 @@ def backward(loss):
         raise RuntimeError("loss does not require grad; nothing to differentiate")
     nodes, _tape = _tape, []
     loss.grad = np.asarray(1.0)
-    for out, fn in reversed(nodes):
-        if out.grad is not None:
-            fn(out.grad)
+    while nodes:
+        out, fn = nodes.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +187,7 @@ def sub(a, b):
 
     def bwd(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        _accumulate(b, -g, owned=True)
 
     _record(out, bwd)
     return out
@@ -180,29 +198,15 @@ def mul(a, b):
     if _as_scalar(b):
         s = float(b)
         out = Tensor(a.data * s, requires_grad=a.requires_grad)
-        _record(out, lambda g: _accumulate(a, g * s))
+        _record(out, lambda g: _accumulate(a, g * s, owned=True))
         return out
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    _record(out, bwd)
-    return out
-
-
-def bias_add_rows(x, b):
-    """[n, d] + [d]: the one sanctioned broadcast, for linear layers."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"bias_add_rows: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data[None, :], requires_grad=x.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(a, g * b.data, owned=True)
+        _accumulate(b, g * a.data, owned=True)
 
     _record(out, bwd)
     return out
@@ -211,21 +215,21 @@ def bias_add_rows(x, b):
 def leaky_relu(x):
     mask = x.data >= 0
     out = Tensor(np.where(mask, x.data, LEAKY_SLOPE * x.data), requires_grad=x.requires_grad)
-    _record(out, lambda g: _accumulate(x, np.where(mask, g, LEAKY_SLOPE * g)))
+    _record(out, lambda g: _accumulate(x, np.where(mask, g, LEAKY_SLOPE * g), owned=True))
     return out
 
 
 def absolute(x):
     out = Tensor(np.abs(x.data), requires_grad=x.requires_grad)
     sign = np.sign(x.data)
-    _record(out, lambda g: _accumulate(x, g * sign))
+    _record(out, lambda g: _accumulate(x, g * sign, owned=True))
     return out
 
 
 def sum_all(x):
     out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
     shape = x.shape
-    _record(out, lambda g: _accumulate(x, np.full(shape, float(g))))
+    _record(out, lambda g: _accumulate(x, np.full(shape, float(g)), owned=True))
     return out
 
 
@@ -233,7 +237,7 @@ def mean_all(x):
     n = x.size
     out = Tensor(x.data.mean(), requires_grad=x.requires_grad)
     shape = x.shape
-    _record(out, lambda g: _accumulate(x, np.full(shape, float(g) / n)))
+    _record(out, lambda g: _accumulate(x, np.full(shape, float(g) / n), owned=True))
     return out
 
 
@@ -248,7 +252,7 @@ def take(x, indices):
     def bwd(g):
         full = np.zeros(shape, dtype=np.float64).reshape(-1)
         np.add.at(full, idx, g)
-        _accumulate(x, full.reshape(shape))
+        _accumulate(x, full.reshape(shape), owned=True)
 
     _record(out, bwd)
     return out
@@ -314,31 +318,41 @@ def transpose(x, axes):
 # dense ops
 # --------------------------------------------------------------------------
 
-def matmul(a, b):
-    """[m, k] @ [k, n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError("matmul expects two rank-2 tensors")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
-    flops.add_flops(2.0 * a.shape[0] * a.shape[1] * b.shape[1])
+def _product(name, x, w, b):
+    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row) as one tape op."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"{name} expects two rank-2 tensors")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"{name} inner dims: {x.shape} @ {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"{name} bias {b.shape} for output width {w.shape[1]}")
+    y = x.data @ w.data
+    flops.add_flops(2.0 * x.shape[0] * x.shape[1] * w.shape[1])
+    if b is not None:
+        y += b.data
+    req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
+    out = Tensor(y, requires_grad=req)
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g.sum(axis=0), owned=True)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g, owned=True)
 
     _record(out, bwd)
     return out
 
 
+def matmul(a, b):
+    """[m, k] @ [k, n]."""
+    return _product("matmul", a, b, None)
+
+
 def linear(x, w, b=None):
-    """x[n, d_in] @ w[d_in, d_out] (+ b)."""
-    y = matmul(x, w)
-    if b is not None:
-        y = bias_add_rows(y, b)
-    return y
+    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row), one tape op."""
+    return _product("linear", x, w, b)
 
 
 def softmax_rows(x):
@@ -355,7 +369,7 @@ def softmax_rows(x):
 
     def bwd(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(x, (g - dot) * y)
+        _accumulate(x, (g - dot) * y, owned=True)
 
     _record(out, bwd)
     return out
@@ -378,15 +392,15 @@ def layer_norm(x, gamma, beta):
 
     def bwd(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0))
+            _accumulate(gamma, (g * xhat).sum(axis=0), owned=True)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=0))
+            _accumulate(beta, g.sum(axis=0), owned=True)
         if x.requires_grad:
             gx = g * gamma.data[None, :]
             # d/dx of (x - mu) * inv with mu, inv functions of the row
             term = gx - gx.mean(axis=1, keepdims=True) \
                 - xhat * (gx * xhat).mean(axis=1, keepdims=True)
-            _accumulate(x, term * inv)
+            _accumulate(x, term * inv, owned=True)
 
     _record(out, bwd)
     return out
@@ -432,18 +446,18 @@ def batch_norm(x, gamma, beta, state, training):
 
     def bwd(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(1, 2)))
+            _accumulate(gamma, (g * xhat).sum(axis=(1, 2)), owned=True)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(1, 2)))
+            _accumulate(beta, g.sum(axis=(1, 2)), owned=True)
         if x.requires_grad:
             gx = g * gamma.data[:, None, None]
             if training:
                 # batch statistics depend on x
                 term = gx - gx.mean(axis=(1, 2), keepdims=True) \
                     - xhat * (gx * xhat).mean(axis=(1, 2), keepdims=True)
-                _accumulate(x, term * inv[:, None, None])
+                _accumulate(x, term * inv[:, None, None], owned=True)
             else:
-                _accumulate(x, gx * inv[:, None, None])
+                _accumulate(x, gx * inv[:, None, None], owned=True)
 
     _record(out, bwd)
     return out
@@ -486,16 +500,16 @@ def conv2d(x, w, b=None, stride=1):
     def bwd(g):
         gmat = g.reshape(c_out, oh * ow)
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(1, 2)))
+            _accumulate(b, g.sum(axis=(1, 2)), owned=True)
         if w.requires_grad:
-            _accumulate(w, (gmat @ mat.T).reshape(w.shape))
+            _accumulate(w, (gmat @ mat.T).reshape(w.shape), owned=True)
         if x.requires_grad:
             dcols = (wmat.T @ gmat).reshape(c_in, 3, 3, oh, ow)
             dxp = np.zeros_like(xp)
             for ky in range(3):
                 for kx in range(3):
                     dxp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcols[:, ky, kx]
-            _accumulate(x, dxp[:, 1:-1, 1:-1])
+            _accumulate(x, dxp[:, 1:-1, 1:-1])  # a view of the padded buffer: copied
 
     _record(out, bwd)
     return out
@@ -509,7 +523,7 @@ def upsample_nearest2x(x):
     c, h, w = x.shape
 
     def bwd(g):
-        _accumulate(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+        _accumulate(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)), owned=True)
 
     _record(out, bwd)
     return out
@@ -545,7 +559,7 @@ def upsample_bilinear2x(x):
         dx = np.zeros((c, h, w), dtype=np.float64)
         np.add.at(dx, (slice(None), r0), drows * (1.0 - ra)[None, :, None])
         np.add.at(dx, (slice(None), r1), drows * ra[None, :, None])
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     _record(out, bwd)
     return out

@@ -218,6 +218,16 @@ class TestAttnBlock:
         w = Tensor(rng.standard_normal((5, 8)))
         assert T.grad_check(lambda t: T.sum_all(T.mul(block(t, z), w)), x) < 1e-4
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_self_attention_grad_check(self, seed):
+        # x is the query, the key/value tokens and the residual: four paths add into one grad
+        rng = np.random.default_rng(seed)
+        cfg = B.MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+        block = B.AttnBlock(cfg, rng)
+        x = T.parameter(rng.standard_normal((5, 8)))
+        w = Tensor(rng.standard_normal((5, 8)))
+        assert T.grad_check(lambda t: T.sum_all(T.mul(block(t), w)), x) < 1e-4
+
     def test_grad_reaches_every_param(self, rng):
         block = B.AttnBlock(CFG, rng)
         x = Tensor(rng.standard_normal((5, 16)))

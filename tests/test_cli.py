@@ -252,6 +252,7 @@ class TestBadInvocations:
                                 "--values item 'a' is not an integer"),
         "gradcheck_zero_seeds": (["gradcheck", "--seeds", "0"], "--seeds"),
         "gradcheck_negative_seeds": (["gradcheck", "--seeds", "-2"], "--seeds"),
+        "gradcheck_negative_seed": (["gradcheck", "--seed", "-1"], "--seed "),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
                                     "'n_scenes' is -1"),
         "train_log_every_0": (TRAIN + ["{ds}", "--log-every", "0"], "--log-every"),

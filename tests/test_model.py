@@ -314,6 +314,36 @@ class TestGradients:
         assert T.grad_check(f, img, step=1e-5) <= 1e-4
 
 
+class TestGradientHandOver:
+    """Handing fresh gradients over instead of copying them changes no bit."""
+
+    @staticmethod
+    def _step(kind):
+        m = M.LightFieldModel(tiny_cfg(), kind)
+        M.train_step(m, scene_views(), M.Adam(m.named_parameters(), lr=1e-3))
+        return dict(m.named_parameters())
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_grads_equal_the_copying_core(self, kind, monkeypatch):
+        handed = self._step(kind)
+        accumulate = T._accumulate
+        monkeypatch.setattr(T, "_accumulate", lambda t, g, owned=False: accumulate(t, g))
+        copied = self._step(kind)
+        assert handed.keys() == copied.keys()
+        for name, p in handed.items():
+            np.testing.assert_array_equal(p.grad, copied[name].grad, err_msg=name)
+            np.testing.assert_array_equal(p.data, copied[name].data, err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_no_grad_shares_memory(self, kind):
+        params = list(self._step(kind).items())
+        for i, (name, p) in enumerate(params):
+            for other, q in params:
+                assert not np.shares_memory(p.grad, q.data), (name, other)
+            for other, q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad), (name, other)
+
+
 class TestTraining:
     def test_adam_first_step_magnitude(self):
         p = T.parameter(np.zeros(3))

@@ -229,7 +229,8 @@ class TestElementwise:
         np.testing.assert_allclose(T.mul(Tensor(x), 2.0).data, 2 * x)
 
     @pytest.mark.parametrize("name", ["leaky_relu", "absolute", "mean_all", "take", "concat",
-                                      "split", "reshape", "transpose", "bias_add_rows"])
+                                      "split", "reshape", "transpose", "linear_x", "linear_w",
+                                      "linear_b", "linear_no_bias"])
     def test_grads(self, rng, name):
         w = Tensor(rng.standard_normal((4, 6)))
         x = leaf(rng, 4, 6)
@@ -244,14 +245,39 @@ class TestElementwise:
                 [T.split(t, [1, 2, 3], axis=1)[i] for i in (2, 0)], axis=1), w_split)),
             "reshape": lambda t: T.sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
             "transpose": lambda t: T.sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
-            "bias_add_rows": lambda t: T.sum_all(T.mul(T.bias_add_rows(t, bias_r), w)),
+            "linear_x": lambda t: T.sum_all(T.mul(T.linear(t, w_lin, bias_r), w)),
+            "linear_w": lambda t: T.sum_all(T.mul(T.linear(x, t, bias_r), w)),
+            "linear_b": lambda t: T.sum_all(T.mul(T.linear(x, w_lin, t), w)),
+            "linear_no_bias": lambda t: T.sum_all(T.mul(T.linear(t, w_lin), w)),
         }
-        bias_r = Tensor(rng.standard_normal(6))
+        bias_r = leaf(rng, 6)
         w_cat = Tensor(rng.standard_normal((4, 12)))
         w_split = Tensor(rng.standard_normal((4, 4)))
         w_flat = Tensor(rng.standard_normal((2, 12)))
         w_t = Tensor(rng.standard_normal((6, 4)))
-        assert T.grad_check(cases[name], x) < 1e-5
+        w_lin = leaf(rng, 6, 6)
+        subject = {"linear_w": w_lin, "linear_b": bias_r}.get(name, x)
+        assert T.grad_check(cases[name], subject) < 1e-5
+
+
+class TestLinear:
+    def test_against_loops_plus_bias(self, rng):
+        x = rng.standard_normal((5, 3))
+        w = rng.standard_normal((3, 4))
+        b = rng.standard_normal(4)
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(got, matmul_loops(x, w) + b, rtol=0, atol=1e-12)
+
+    def test_one_tape_op(self, rng):
+        T.tape_clear()
+        T.linear(leaf(rng, 2, 3), leaf(rng, 3, 4), leaf(rng, 4))
+        assert len(T._tape) == 1
+        T.tape_clear()
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((4, 2), (2,)), ((3, 2), (3,))])
+    def test_shape_mismatch_raises(self, w_shape, b_shape):
+        with pytest.raises(T.DimensionError, match="linear"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
 class TestSplit:
@@ -299,6 +325,69 @@ class TestGraphSemantics:
         y = T.mul(x, 3.0)
         with pytest.raises(T.DimensionError):
             T.backward(y)
+
+    def test_one_tensor_in_both_inputs_of_add_and_mul(self, rng):
+        # add gives one g to both inputs; mul hands over two fresh products
+        x = leaf(rng, 4, 3)
+        w = Tensor(rng.standard_normal((4, 3)))
+        T.backward(T.sum_all(T.mul(T.add(x, x), w)))
+        np.testing.assert_array_equal(x.grad, 2.0 * w.data)
+        x.grad = None
+        T.backward(T.sum_all(T.mul(T.mul(x, x), w)))
+        np.testing.assert_allclose(x.grad, 2.0 * x.data * w.data, rtol=1e-15, atol=0)
+        assert T.grad_check(lambda t: T.sum_all(T.mul(T.add(t, t), w)), x) < 1e-5
+        assert T.grad_check(lambda t: T.sum_all(T.mul(T.mul(t, t), w)), x) < 1e-5
+
+    def test_add_gives_each_input_its_own_gradient(self, rng):
+        # x is used before the add too: that use's backward runs after the add's
+        # and adds into x.grad, which must not be y.grad
+        x, y = leaf(rng, 3), leaf(rng, 3)
+        w, w2 = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
+        early = T.mul(x, w2)
+        T.backward(T.add(T.sum_all(T.mul(T.add(x, y), w)), T.sum_all(early)))
+        np.testing.assert_array_equal(y.grad, w.data)
+        np.testing.assert_array_equal(x.grad, w.data + w2.data)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_backward_empties_the_tape_and_keeps_only_leaf_grads(self, rng):
+        x = leaf(rng, 3, 4)
+        w = leaf(rng, 4, 2)
+        T.tape_clear()
+        h = T.leaky_relu(T.linear(x, w))
+        parts = T.split(h, [1, 1], axis=1)
+        loss = T.sum_all(T.add(T.mul(parts[0], parts[1]), T.absolute(parts[0])))
+        recorded = [out for out, _ in T._tape]
+        assert loss in recorded and len(recorded) == 8
+        T.backward(loss)
+        assert T._tape == []
+        assert all(out.grad is None for out in recorded)
+        assert x.grad is not None and w.grad is not None
+
+    def test_backward_frees_activations_as_it_passes_them(self):
+        # 16 Linear + leaky_relu layers at [1024, 64]: keeping every record and
+        # gradient to the end of the sweep peaks near twice the forward's memory
+        tracemalloc = pytest.importorskip("tracemalloc")
+        from raypatch.blocks import Linear
+
+        rng = np.random.default_rng(0)
+        layers = [Linear(rng, 64, 64) for _ in range(16)]
+        x = Tensor(rng.standard_normal((1024, 64)))
+        T.tape_clear()
+        tracemalloc.start()
+        try:
+            h = x
+            for lin in layers:
+                h = T.leaky_relu(lin(h))
+            loss = T.mean_all(h)
+            del h
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * forward, (peak, forward)
+        assert all(lin.w.grad is not None for lin in layers)
 
     def test_grad_check_rejects_bad_step(self, rng):
         x = leaf(rng, 2)
