@@ -281,6 +281,10 @@ def cmd_cost(args):
 
 
 def cmd_dataset(args):
+    for flag, value in (("--scenes", args.scenes), ("--height", args.height),
+                        ("--width", args.width)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     ds.make_dataset(args.out, args.scenes, args.height, args.width, args.seed)
     size = os.path.getsize(args.out)
     expect = ds.predicted_file_size(args.scenes, args.height, args.width, args.seed)
@@ -293,6 +297,12 @@ def cmd_dataset(args):
 
 
 def cmd_train(args):
+    # a bad output path must fail now, not after the whole run
+    for flag, path in (("--log", args.log), ("--checkpoint", args.checkpoint)):
+        if path and os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{flag} {path}: its directory does not exist")
     overrides = {field: getattr(args, field) for field in _model_fields() if field in args}
     model, held, rows = run_training(args.dataset, args.decoder, args.steps, args.lr,
                                      args.log_every, **overrides)

@@ -21,10 +21,21 @@ Design:
 The op set is exactly what the patch-ray model needs: matrix product,
 row softmax, layer/batch norm, 3x3 convolution (stride 1 or 2), 2x nearest
 and bilinear upsampling, and elementwise glue.
+
+Allocator: importing this module (so importing ``raypatch``) sets glibc's
+``mallopt`` thresholds for the whole process: arrays up to 32 MiB come from
+the heap instead of a fresh ``mmap``, and up to 64 MiB of freed heap top is
+kept instead of being returned to the system. A train step frees its
+activations during backward; with the defaults the next step faulted the
+same pages back in, about 6,000 minor faults per ``pixel`` step at the CLI
+default config and 1,450 per ``raypatch`` step, against 0-3 with these
+thresholds. Where there is no glibc ``mallopt`` nothing is set. No
+arithmetic depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 
@@ -36,6 +47,27 @@ from . import flops
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
 NORM_EPS = 1e-5     # added to the variance by layer_norm and batch_norm
 BN_MOMENTUM = 0.9   # weight of the old value in batch_norm's running statistics
+
+M_TRIM_THRESHOLD = -1          # glibc mallopt parameter numbers (malloc.h)
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's maximum: smaller blocks come from the heap
+TRIM_THRESHOLD_BYTES = 64 << 20  # free heap top kept before trimming it back
+
+
+def _keep_heap_pages():
+    """Raise glibc's mmap and trim thresholds so that freed activations stay
+    mapped for the next step; a no-op without glibc's ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+_keep_heap_pages()
 
 
 class DimensionError(ValueError):
@@ -213,9 +245,10 @@ def mul(a, b):
 
 
 def leaky_relu(x):
-    mask = x.data >= 0
-    out = Tensor(np.where(mask, x.data, LEAKY_SLOPE * x.data), requires_grad=x.requires_grad)
-    _record(out, lambda g: _accumulate(x, np.where(mask, g, LEAKY_SLOPE * g), owned=True))
+    # for 0 < LEAKY_SLOPE < 1 the larger of x and LEAKY_SLOPE * x is the branch
+    out = Tensor(np.maximum(x.data, LEAKY_SLOPE * x.data), requires_grad=x.requires_grad)
+    _record(out, lambda g: _accumulate(x, g * np.where(x.data >= 0, 1.0, LEAKY_SLOPE),
+                                       owned=True))
     return out
 
 
@@ -369,7 +402,9 @@ def softmax_rows(x):
 
     def bwd(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(x, (g - dot) * y, owned=True)
+        gx = g - dot
+        gx *= y
+        _accumulate(x, gx, owned=True)
 
     _record(out, bwd)
     return out
@@ -383,12 +418,13 @@ def layer_norm(x, gamma, beta):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError("layer_norm affine params must be [d]")
     mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    xhat = x.data - mu  # centred, then scaled in place
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data[None, :] + beta.data[None, :],
-                 requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def bwd(g):
         if gamma.requires_grad:
@@ -396,11 +432,12 @@ def layer_norm(x, gamma, beta):
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=0), owned=True)
         if x.requires_grad:
-            gx = g * gamma.data[None, :]
+            gx = g * gamma.data
             # d/dx of (x - mu) * inv with mu, inv functions of the row
-            term = gx - gx.mean(axis=1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=1, keepdims=True)
-            _accumulate(x, term * inv, owned=True)
+            term = gx - gx.mean(axis=1, keepdims=True)
+            term -= xhat * (gx * xhat).mean(axis=1, keepdims=True)
+            term *= inv
+            _accumulate(x, term, owned=True)
 
     _record(out, bwd)
     return out
@@ -429,20 +466,20 @@ def batch_norm(x, gamma, beta, state, training):
         raise DimensionError("batch_norm affine params must be [c]")
     if training:
         mu = x.data.mean(axis=(1, 2))
-        xc = x.data - mu[:, None, None]
-        var = (xc * xc).mean(axis=(1, 2))
+        xhat = x.data - mu[:, None, None]  # centred, then scaled in place
+        var = (xhat * xhat).mean(axis=(1, 2))
         m = BN_MOMENTUM
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
     else:
         mu = state.running_mean
         var = state.running_var
-        xc = x.data - mu[:, None, None]
+        xhat = x.data - mu[:, None, None]
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = xc * inv[:, None, None]
-    out = Tensor(xhat * gamma.data[:, None, None] + beta.data[:, None, None],
-                 requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
-    n = x.shape[1] * x.shape[2]
+    xhat *= inv[:, None, None]
+    y = xhat * gamma.data[:, None, None]
+    y += beta.data[:, None, None]
+    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
 
     def bwd(g):
         if gamma.requires_grad:
@@ -453,11 +490,11 @@ def batch_norm(x, gamma, beta, state, training):
             gx = g * gamma.data[:, None, None]
             if training:
                 # batch statistics depend on x
-                term = gx - gx.mean(axis=(1, 2), keepdims=True) \
-                    - xhat * (gx * xhat).mean(axis=(1, 2), keepdims=True)
-                _accumulate(x, term * inv[:, None, None], owned=True)
-            else:
-                _accumulate(x, gx * inv[:, None, None], owned=True)
+                term = gx - gx.mean(axis=(1, 2), keepdims=True)
+                term -= xhat * (gx * xhat).mean(axis=(1, 2), keepdims=True)
+                gx = term
+            gx *= inv[:, None, None]
+            _accumulate(x, gx, owned=True)
 
     _record(out, bwd)
     return out

@@ -42,6 +42,44 @@ def layer_norm_naive(x, gamma, beta, eps=1e-5):
     return out
 
 
+def leaky_relu_naive(x, slope=0.2):
+    """Element by element: x where x >= 0 (so also at -0.0), else slope * x."""
+    out = np.empty_like(x)
+    for i, v in enumerate(x.flat):
+        out.flat[i] = v if v >= 0 else slope * v
+    return out
+
+
+def leaky_relu_backward_naive(x, g, slope=0.2):
+    """Input gradient for output gradient g: g where x >= 0, else slope * g."""
+    out = np.empty_like(g)
+    for i, (v, gv) in enumerate(zip(x.flat, g.flat)):
+        out.flat[i] = gv if v >= 0 else slope * gv
+    return out
+
+
+def batch_norm_naive(x, gamma, beta, running_mean, running_var, training,
+                     eps=1e-5, momentum=0.9):
+    """Per-channel loop over a [c, h, w] map. Train mode normalizes with the
+    channel's mean and biased variance and moves the running statistics
+    towards them; eval mode normalizes with the running statistics.
+    Returns (out, new running mean, new running var)."""
+    out = np.zeros_like(x)
+    new_mean = np.array(running_mean, dtype=np.float64)
+    new_var = np.array(running_var, dtype=np.float64)
+    for ch in range(x.shape[0]):
+        plane = x[ch]
+        if training:
+            mu = plane.mean()
+            var = ((plane - mu) ** 2).mean()
+            new_mean[ch] = momentum * running_mean[ch] + (1 - momentum) * mu
+            new_var[ch] = momentum * running_var[ch] + (1 - momentum) * var
+        else:
+            mu, var = running_mean[ch], running_var[ch]
+        out[ch] = gamma[ch] * (plane - mu) / np.sqrt(var + eps) + beta[ch]
+    return out, new_mean, new_var
+
+
 def conv2d_loops(x, w, b=None, stride=1):
     """Direct 6-loop 3x3 convolution, zero padding 1."""
     c_in, h, wd = x.shape

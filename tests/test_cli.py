@@ -254,7 +254,13 @@ class TestBadInvocations:
         "gradcheck_negative_seeds": (["gradcheck", "--seeds", "-2"], "--seeds"),
         "gradcheck_negative_seed": (["gradcheck", "--seed", "-1"], "--seed "),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
-                                    "'n_scenes' is -1"),
+                                    "--scenes must be at least 1, got -1"),
+        "dataset_zero_scenes": (["dataset", "--out", "{x}", "--scenes", "0"],
+                                "--scenes must be at least 1, got 0"),
+        "dataset_negative_height": (["dataset", "--out", "{x}", "--height", "-4"],
+                                    "--height must be at least 1, got -4"),
+        "dataset_zero_width": (["dataset", "--out", "{x}", "--width", "0"],
+                               "--width must be at least 1, got 0"),
         "train_log_every_0": (TRAIN + ["{ds}", "--log-every", "0"], "--log-every"),
         "train_one_scene": (TRAIN + ["{one}"], "{one}"),
         "train_no_scene": (TRAIN + ["{none}"], "{none}"),
@@ -285,6 +291,13 @@ class TestBadInvocations:
         "train_zero_lr": (TRAIN + ["{ds}", "--lr", "0"], "--lr"),
         "train_nan_lr": (TRAIN + ["{ds}", "--lr", "nan"], "--lr"),
         "train_inf_lr": (TRAIN + ["{ds}", "--lr", "inf"], "--lr"),
+        # {x}.d is a directory that does not exist
+        "train_log_dir_missing": (TRAIN + ["{ds}", "--log", "{x}.d/log.csv"],
+                                  "--log {x}.d/log.csv: its directory does not exist"),
+        "train_checkpoint_dir_missing": (TRAIN + ["{ds}", "--checkpoint", "{x}.d/m.rpck"],
+                                         "--checkpoint {x}.d/m.rpck: its directory does not"),
+        "train_checkpoint_is_a_directory": (TRAIN + ["{ds}", "--checkpoint", "{dir}"],
+                                            "--checkpoint {dir} is a directory"),
         "render_scene_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--scene", "9"],
                                       "--scene"),
         "render_view_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--view", "3"],
@@ -314,9 +327,21 @@ class TestBadInvocations:
         argv, names = self.CASES[case]
         subst = {name: str(path) for name, path in files.items()}
         subst["x"] = str(tmp_path / "x.ppm")
+        subst["dir"] = str(tmp_path)
         argv = [a.format(**subst) for a in argv]
         assert cli.main(argv) == cli.EXIT_BAD_ARGS
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert lines and names.format(**subst) in lines[0], err
+
+    @pytest.mark.parametrize("flag", ["--scenes", "--height", "--width"])
+    def test_dataset_size_below_1_writes_nothing(self, tmp_path, flag):
+        out = tmp_path / "x.rpds"
+        assert cli.main(["dataset", "--out", str(out), flag, "0"]) == cli.EXIT_BAD_ARGS
+        assert not out.exists()
+
+    def test_train_checks_output_directories_before_the_dataset(self, tmp_path, capsys):
+        argv = self.TRAIN + [str(tmp_path / "gone.rpds"), "--checkpoint", str(tmp_path / "d/m.rpck")]
+        assert cli.main(argv) == cli.EXIT_BAD_ARGS
+        assert "error: --checkpoint" in capsys.readouterr().err

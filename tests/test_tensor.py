@@ -7,8 +7,11 @@ from raypatch import tensor as T
 from raypatch.tensor import Tensor
 
 from reference_impls import (
+    batch_norm_naive,
     conv2d_loops,
     layer_norm_naive,
+    leaky_relu_backward_naive,
+    leaky_relu_naive,
     matmul_loops,
     softmax_rows_naive,
     upsample_bilinear2x_loops,
@@ -23,6 +26,32 @@ def rng():
 
 def leaf(rng, *shape):
     return T.parameter(rng.standard_normal(shape))
+
+
+def weighted_sum_grads(op, arrays, w):
+    """Output of ``op`` on leaves holding ``arrays``, and the leaves' gradients
+    of sum(w * output); ``op``'s backward receives exactly ``w``."""
+    T.tape_clear()
+    leaves = [T.parameter(a.copy()) for a in arrays]
+    out = op(*leaves)
+    T.backward(T.sum_all(T.mul(out, Tensor(w))))
+    return out.data, [t.grad for t in leaves]
+
+
+def finite_difference(f, x, step=1e-6):
+    """Central differences of the scalar numpy function ``f`` at array ``x``."""
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi.flat[i] += step
+        lo.flat[i] -= step
+        grad.flat[i] = (f(hi) - f(lo)) / (2.0 * step)
+    return grad
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
 
 
 class TestMatmul:
@@ -75,6 +104,15 @@ class TestSoftmax:
         x = leaf(rng, 5, 6)
         w = Tensor(rng.standard_normal((5, 6)))  # random loss weights
         assert T.grad_check(lambda t: T.sum_all(T.mul(T.softmax_rows(t), w)), x) < 1e-5
+
+    def test_bit_equal_to_the_unfused_formula(self, rng):
+        x = rng.standard_normal((37, 64)) * 3.0
+        g = rng.standard_normal((37, 64))
+        y, (gx,) = weighted_sum_grads(T.softmax_rows, [x], g)
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        want_y = e / e.sum(axis=1, keepdims=True)
+        assert_same_bits(y, want_y)
+        assert_same_bits(gx, (g - (g * want_y).sum(axis=1, keepdims=True)) * want_y)
 
 
 class TestLayerNorm:
@@ -217,6 +255,65 @@ class TestBatchNorm:
         assert T.grad_check(lambda t: f(t, "x"), x) < 1e-5
         assert T.grad_check(lambda t: f(t, "g"), gamma) < 1e-5
         assert T.grad_check(lambda t: f(t, "b"), beta) < 1e-5
+
+    @staticmethod
+    def _state(rng, channels):
+        st = T.BatchNormState(channels)
+        st.running_mean = rng.standard_normal(channels)
+        st.running_var = rng.uniform(0.5, 2.0, channels)
+        return st
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_against_naive(self, rng, training):
+        x = rng.standard_normal((3, 5, 6)) * 2.0 + 1.0
+        gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
+        st = self._state(rng, 3)
+        want, mean, var = batch_norm_naive(x, gamma, beta, st.running_mean, st.running_var,
+                                           training)
+        got = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), st, training).data
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(st.running_mean, mean, atol=1e-12)
+        np.testing.assert_allclose(st.running_var, var, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_grads_against_naive(self, rng, training):
+        args = [rng.standard_normal((2, 3, 4)), rng.standard_normal(2), rng.standard_normal(2)]
+        w = rng.standard_normal((2, 3, 4))
+        st = self._state(rng, 2)
+        stats = (st.running_mean.copy(), st.running_var.copy())
+        _, grads = weighted_sum_grads(
+            lambda x, g, b: T.batch_norm(x, g, b, st, training), args, w)
+        for i, got in enumerate(grads):
+            def loss(a, i=i):
+                out, _, _ = batch_norm_naive(*args[:i], a, *args[i + 1:], *stats, training)
+                return float((w * out).sum())
+            np.testing.assert_allclose(got, finite_difference(loss, args[i]), atol=1e-7)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bit_equal_to_the_out_of_place_formula(self, rng, training):
+        x = rng.standard_normal((8, 16, 16)) * 2.0 + 0.5
+        gamma, beta = rng.standard_normal(8), rng.standard_normal(8)
+        g = rng.standard_normal(x.shape)
+        st = self._state(rng, 8)
+        mu, var = st.running_mean.copy(), st.running_var.copy()
+        y, (gx, _, _) = weighted_sum_grads(
+            lambda a, b, c: T.batch_norm(a, b, c, st, training), [x, gamma, beta], g)
+        if training:
+            mu = x.mean(axis=(1, 2))
+            xc = x - mu[:, None, None]
+            var = (xc * xc).mean(axis=(1, 2))
+        else:
+            xc = x - mu[:, None, None]
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = xc * inv[:, None, None]
+        assert_same_bits(y, xhat * gamma[:, None, None] + beta[:, None, None])
+        gxg = g * gamma[:, None, None]
+        if training:
+            term = gxg - gxg.mean(axis=(1, 2), keepdims=True) \
+                - xhat * (gxg * xhat).mean(axis=(1, 2), keepdims=True)
+            assert_same_bits(gx, term * inv[:, None, None])
+        else:
+            assert_same_bits(gx, gxg * inv[:, None, None])
 
 
 class TestElementwise:
