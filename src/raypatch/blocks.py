@@ -56,8 +56,7 @@ def scaled_dot_attention(q, k_t, v):
         raise T.DimensionError(f"query dim {q.shape[1]} != key dim {k_t.shape[0]}")
     if k_t.shape[1] != v.shape[0]:
         raise T.DimensionError(f"key count {k_t.shape[1]} != value count {v.shape[0]}")
-    scale = 1.0 / np.sqrt(q.shape[1])
-    logits = T.mul(T.matmul(q, k_t), scale)
+    logits = T.matmul(q, k_t, scale=1.0 / np.sqrt(q.shape[1]))
     return T.matmul(T.softmax_rows(logits), v)
 
 

@@ -93,10 +93,16 @@ def _op_cases(rng):
     probe_sm = T.Tensor(rng.standard_normal((4, 5)))
     probe_ln = T.Tensor(rng.standard_normal((3, 8)))
     probe_bn = T.Tensor(rng.standard_normal((2, 4, 4)))
+    # rows added later draw from a child generator, so every older row keeps
+    # the inputs that rng's stream gave it
+    late = rng.spawn(1)[0]
+    probe_mm = T.Tensor(late.standard_normal((5, 4)))
 
     return [
         ("matmul", lambda x: T.sum_all(T.matmul(x, w)),
          T.Tensor(rng.standard_normal((5, 6)))),
+        ("matmul_scaled", lambda x: T.sum_all(T.mul(T.matmul(x, w, scale=0.4), probe_mm)),
+         T.Tensor(late.standard_normal((5, 6)))),
         ("linear", lambda x: T.sum_all(T.linear(x, w, bias)),
          T.Tensor(rng.standard_normal((3, 6)))),
         ("softmax", lambda x: T.sum_all(T.mul(T.softmax_rows(x), probe_sm)),
@@ -296,13 +302,19 @@ def cmd_dataset(args):
     return EXIT_OK
 
 
-def cmd_train(args):
-    # a bad output path must fail now, not after the whole run
-    for flag, path in (("--log", args.log), ("--checkpoint", args.checkpoint)):
+def _check_output_paths(*flag_paths):
+    """Refuse, by flag name, an output path that is a directory or lies in a
+    missing one: it must fail before the work, not after it. ``None`` paths
+    are skipped."""
+    for flag, path in flag_paths:
         if path and os.path.isdir(path):
             raise ValueError(f"{flag} {path} is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"{flag} {path}: its directory does not exist")
+
+
+def cmd_train(args):
+    _check_output_paths(("--log", args.log), ("--checkpoint", args.checkpoint))
     overrides = {field: getattr(args, field) for field in _model_fields() if field in args}
     model, held, rows = run_training(args.dataset, args.decoder, args.steps, args.lr,
                                      args.log_every, **overrides)
@@ -319,6 +331,7 @@ def cmd_train(args):
 
 
 def cmd_render(args):
+    _check_output_paths(("--out-rgb", args.out_rgb), ("--out-depth", args.out_depth))
     model, meta = ckpt.load_checkpoint(args.checkpoint)
     header, scenes = ds.load_dataset(args.dataset)
     if not 0 <= args.scene < len(scenes):

@@ -12,9 +12,14 @@ Design:
   * gradients are handed over, not copied, by one rule: an op passes
     ``owned=True`` to ``_accumulate`` only for an array it just allocated
     and gives to exactly one input. Views (``reshape``, ``concat``,
-    ``split``, ``conv2d``'s unpadded slice), one array given to two inputs
-    (``add``) and what may be the incoming gradient itself (``transpose``)
-    are copied when they are an input's first gradient;
+    ``split``), one array given to two inputs (``add``) and what may be the
+    incoming gradient itself (``transpose``) are copied when they are an
+    input's first gradient;
+  * a record keeps only the arrays its backward reads. A ``conv2d`` record
+    keeps the im2col matrix, which it builds without a padded copy of the
+    input, and keeps the input only if the input needs a gradient.
+    ``matmul(a, b, scale=s)`` multiplies the fresh product by ``s`` in place,
+    so a scaled product (attention's logits) is one array, not two;
   * no broadcasting beyond explicit bias adds — shape mismatches raise
     ``DimensionError`` instead of silently broadcasting.
 
@@ -351,8 +356,9 @@ def transpose(x, axes):
 # dense ops
 # --------------------------------------------------------------------------
 
-def _product(name, x, w, b):
-    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row) as one tape op."""
+def _product(name, x, w, b, scale=None):
+    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row, or times
+    ``scale``) as one tape op."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise DimensionError(f"{name} expects two rank-2 tensors")
     if x.shape[1] != w.shape[0]:
@@ -363,10 +369,14 @@ def _product(name, x, w, b):
     flops.add_flops(2.0 * x.shape[0] * x.shape[1] * w.shape[1])
     if b is not None:
         y += b.data
+    if scale is not None:
+        y *= scale
     req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
     out = Tensor(y, requires_grad=req)
 
     def bwd(g):
+        if scale is not None:
+            g = g * scale  # what a separate mul op's backward handed over
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=0), owned=True)
         if x.requires_grad:
@@ -378,9 +388,13 @@ def _product(name, x, w, b):
     return out
 
 
-def matmul(a, b):
-    """[m, k] @ [k, n]."""
-    return _product("matmul", a, b, None)
+def matmul(a, b, scale=None):
+    """[m, k] @ [k, n], times the number ``scale`` if one is given.
+
+    The scale is applied in place to the fresh product, so a scaled product
+    holds one array, not two; forward and gradients are bit-equal to
+    ``mul(matmul(a, b), scale)``."""
+    return _product("matmul", a, b, None, scale)
 
 
 def linear(x, w, b=None):
@@ -500,11 +514,28 @@ def batch_norm(x, gamma, beta, state, training):
     return out
 
 
+def _conv_taps(n_in, n_out, stride):
+    """For each of the 3 kernel offsets along one axis: (lo, hi, src), where
+    outputs lo:hi read inputs ``src`` and the outputs outside lo:hi read the
+    zero padding."""
+    taps = []
+    for k in range(3):
+        lo = 1 if k == 0 else 0  # output 0 of offset 0 reads the padding
+        hi = min(n_out, (n_in - k) // stride + 1)
+        first = k - 1 + stride * lo
+        taps.append((lo, hi, slice(first, first + stride * (hi - lo), stride)))
+    return taps
+
+
 def conv2d(x, w, b=None, stride=1):
     """3x3 convolution of [c_in, h, w] with [c_out, c_in, 3, 3], zero padding 1.
 
     Stride 1 keeps the spatial size; stride 2 halves it (ceil). Implemented
-    as im2col + one matrix product so the work lands in BLAS.
+    as im2col + one matrix product so the work lands in BLAS. The im2col
+    matrix is built from ``x`` without a padded copy: each tap copies its
+    in-range window and zeroes its border strips. The tape record keeps the
+    matrix (the weight gradient reads it) and keeps ``x`` only if ``x`` needs
+    a gradient.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError("conv2d expects x[c,h,w], w[c_out,c_in,3,3]")
@@ -515,24 +546,30 @@ def conv2d(x, w, b=None, stride=1):
         raise DimensionError(f"conv2d channels: x has {x.shape[0]}, w expects {c_in}")
     if stride not in (1, 2):
         raise DimensionError("conv2d stride must be 1 or 2")
+    if b is not None and b.shape != (c_out,):
+        raise DimensionError("conv2d bias must be [c_out]")
     h, wd = x.shape[1], x.shape[2]
     oh = (h - 1) // stride + 1
     ow = (wd - 1) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+    row_taps, col_taps = _conv_taps(h, oh, stride), _conv_taps(wd, ow, stride)
+    taps = [(ky, kx, row_taps[ky], col_taps[kx]) for ky in range(3) for kx in range(3)]
     cols = np.empty((c_in, 3, 3, oh, ow), dtype=np.float64)
-    for ky in range(3):
-        for kx in range(3):
-            cols[:, ky, kx] = xp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+    for ky, kx, (r0, r1, src_r), (c0, c1, src_c) in taps:
+        tap = cols[:, ky, kx]
+        tap[:, r0:r1, c0:c1] = x.data[:, src_r, src_c]
+        tap[:, :r0] = 0.0
+        tap[:, r1:] = 0.0
+        tap[:, :, :c0] = 0.0
+        tap[:, :, c1:] = 0.0
     mat = cols.reshape(c_in * 9, oh * ow)
     wmat = w.data.reshape(c_out, c_in * 9)
     out_data = (wmat @ mat).reshape(c_out, oh, ow)
     if b is not None:
-        if b.shape != (c_out,):
-            raise DimensionError("conv2d bias must be [c_out]")
-        out_data = out_data + b.data[:, None, None]
+        out_data += b.data[:, None, None]
     req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
     out = Tensor(out_data, requires_grad=req)
     flops.add_flops(2.0 * c_out * c_in * 9 * oh * ow)
+    src = x if x.requires_grad else None  # the record holds x only to hand it a gradient
 
     def bwd(g):
         gmat = g.reshape(c_out, oh * ow)
@@ -540,13 +577,12 @@ def conv2d(x, w, b=None, stride=1):
             _accumulate(b, g.sum(axis=(1, 2)), owned=True)
         if w.requires_grad:
             _accumulate(w, (gmat @ mat.T).reshape(w.shape), owned=True)
-        if x.requires_grad:
+        if src is not None:
             dcols = (wmat.T @ gmat).reshape(c_in, 3, 3, oh, ow)
-            dxp = np.zeros_like(xp)
-            for ky in range(3):
-                for kx in range(3):
-                    dxp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcols[:, ky, kx]
-            _accumulate(x, dxp[:, 1:-1, 1:-1])  # a view of the padded buffer: copied
+            dx = np.zeros((c_in, h, wd), dtype=np.float64)
+            for ky, kx, (r0, r1, src_r), (c0, c1, src_c) in taps:
+                dx[:, src_r, src_c] += dcols[:, ky, kx, r0:r1, c0:c1]
+            _accumulate(src, dx, owned=True)
 
     _record(out, bwd)
     return out

@@ -298,6 +298,15 @@ class TestBadInvocations:
                                          "--checkpoint {x}.d/m.rpck: its directory does not"),
         "train_checkpoint_is_a_directory": (TRAIN + ["{ds}", "--checkpoint", "{dir}"],
                                             "--checkpoint {dir} is a directory"),
+        "render_rgb_dir_missing": (["render", "--out-rgb", "{x}.d/a.ppm", "--checkpoint", "{ck}",
+                                    "--dataset", "{ds}"],
+                                   "--out-rgb {x}.d/a.ppm: its directory does not exist"),
+        "render_depth_dir_missing": (RENDER + ["{ck}", "--dataset", "{ds}",
+                                               "--out-depth", "{x}.d/d.pgm"],
+                                     "--out-depth {x}.d/d.pgm: its directory does not exist"),
+        "render_rgb_is_a_directory": (["render", "--out-rgb", "{dir}", "--checkpoint", "{ck}",
+                                       "--dataset", "{ds}"],
+                                      "--out-rgb {dir} is a directory"),
         "render_scene_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--scene", "9"],
                                       "--scene"),
         "render_view_out_of_range": (RENDER + ["{ck}", "--dataset", "{ds}", "--view", "3"],
@@ -340,6 +349,14 @@ class TestBadInvocations:
         out = tmp_path / "x.rpds"
         assert cli.main(["dataset", "--out", str(out), flag, "0"]) == cli.EXIT_BAD_ARGS
         assert not out.exists()
+
+    def test_render_with_a_bad_depth_path_writes_no_image(self, files, tmp_path, capsys):
+        rgb = tmp_path / "a.ppm"
+        argv = ["render", "--out-rgb", str(rgb), "--out-depth", str(tmp_path / "d/d.pgm"),
+                "--checkpoint", str(files["ck"]), "--dataset", str(files["ds"])]
+        assert cli.main(argv) == cli.EXIT_BAD_ARGS
+        assert not rgb.exists()
+        assert "psnr" not in capsys.readouterr().out  # nothing was decoded
 
     def test_train_checks_output_directories_before_the_dataset(self, tmp_path, capsys):
         argv = self.TRAIN + [str(tmp_path / "gone.rpds"), "--checkpoint", str(tmp_path / "d/m.rpck")]

@@ -1,5 +1,8 @@
 """Tensor core: forward ops against naive oracles, backward via grad_check."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,17 @@ class TestMatmul:
         b = leaf(rng, 4, 2)
         assert T.grad_check(lambda t: T.sum_all(T.matmul(t, b)), a) < 1e-5
         assert T.grad_check(lambda t: T.sum_all(T.matmul(a, t)), b) < 1e-5
+
+    def test_scale_is_bit_equal_to_a_separate_mul(self, rng):
+        a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 13))
+        g = rng.standard_normal((9, 13))
+        scale = 1.0 / np.sqrt(4)
+        got, got_grads = weighted_sum_grads(lambda s, t: T.matmul(s, t, scale=scale), [a, b], g)
+        want, want_grads = weighted_sum_grads(lambda s, t: T.mul(T.matmul(s, t), scale),
+                                              [a, b], g)
+        assert_same_bits(got, want)
+        for got_g, want_g in zip(got_grads, want_grads):
+            assert_same_bits(got_g, want_g)
 
 
 class TestSoftmax:
@@ -181,6 +195,101 @@ class TestConv2d:
             (b, lambda t: T.sum_all(T.conv2d(x, w, t, stride=stride))),
         ]:
             assert T.grad_check(f, t) < 1e-5
+
+
+def conv2d_padded(x, w, b, stride, g):
+    """The padded im2col/col2im formulas: output and the gradients of
+    sum(g * output) for x, w and b."""
+    c_out, c_in = w.shape[:2]
+    oh, ow = g.shape[1:]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cols = np.empty((c_in, 3, 3, oh, ow))
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, ky, kx] = xp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+    mat = cols.reshape(c_in * 9, oh * ow)
+    wmat = w.reshape(c_out, c_in * 9)
+    out = (wmat @ mat).reshape(c_out, oh, ow) + b[:, None, None]
+    gmat = g.reshape(c_out, oh * ow)
+    dcols = (wmat.T @ gmat).reshape(c_in, 3, 3, oh, ow)
+    dxp = np.zeros_like(xp)
+    for ky in range(3):
+        for kx in range(3):
+            dxp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcols[:, ky, kx]
+    return out, [dxp[:, 1:-1, 1:-1], (gmat @ mat.T).reshape(w.shape), g.sum(axis=(1, 2))]
+
+
+class TestConv2dBitEqual:
+    # odd sizes, sizes 1 and 2, and stride 2 on odd sizes: every border case
+    # of the per-tap windows
+    SIZES = [(1, 1), (1, 5), (4, 1), (2, 2), (3, 3), (5, 6), (7, 9), (8, 8), (9, 4)]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", SIZES)
+    def test_output_and_grads_match_the_padded_formula(self, rng, stride, h, w):
+        x = rng.standard_normal((3, h, w))
+        wt = rng.standard_normal((2, 3, 3, 3))
+        b = rng.standard_normal(2)
+        g = rng.standard_normal((2, (h - 1) // stride + 1, (w - 1) // stride + 1))
+        out, grads = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=stride), [x, wt, b], g)
+        want_out, want_grads = conv2d_padded(x, wt, b, stride, g)
+        assert_same_bits(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert_same_bits(got, np.ascontiguousarray(want))
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    @staticmethod
+    def held_bytes(run):
+        """Bytes still allocated after ``run()``, whose result is kept alive."""
+        tracemalloc = pytest.importorskip("tracemalloc")
+        T.tape_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.requires_grad and len(T._tape) > 0
+        return held
+
+    def test_conv2d_keeps_the_im2col_matrix_and_output_but_no_padded_copy(self, rng):
+        c, h, w = 8, 32, 32
+        x = leaf(rng, c, h, w)
+        wt = leaf(rng, c, c, 3, 3)
+        held = self.held_bytes(lambda: T.conv2d(x, wt))
+        cols, out = c * 9 * h * w * 8, c * h * w * 8
+        # the padded copy would add c * (h + 2) * (w + 2) * 8 = 73,984 bytes
+        assert held <= cols + out + 4096, held
+        T.tape_clear()
+
+    def test_conv2d_drops_an_input_that_needs_no_gradient(self, rng):
+        data = rng.standard_normal((5, 12, 12))
+        alive = weakref.ref(data)
+        x = Tensor(data)
+        del data
+        wt = leaf(rng, 4, 5, 3, 3)
+        T.tape_clear()
+        out = T.conv2d(x, wt)
+        del x
+        gc.collect()
+        assert [o for o, _ in T._tape] == [out]
+        assert alive() is None
+        T.backward(T.sum_all(out))
+        assert wt.grad is not None
+
+    def test_attention_keeps_two_logit_sized_arrays(self, rng):
+        from raypatch.blocks import scaled_dot_attention
+
+        n_q, n_kv, d = 256, 256, 4
+        q, k_t, v = leaf(rng, n_q, d), leaf(rng, d, n_kv), leaf(rng, n_kv, d)
+        held = self.held_bytes(lambda: scaled_dot_attention(q, k_t, v))
+        logits = n_q * n_kv * 8
+        # the scaled logits (softmax's input) and the probabilities; the
+        # unscaled product of a separate scale op would be a third
+        assert held <= 2 * logits + n_q * d * 8 + 4096, held
+        T.tape_clear()
 
 
 class TestUpsampling:
