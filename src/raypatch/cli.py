@@ -287,6 +287,7 @@ def cmd_cost(args):
 
 
 def cmd_dataset(args):
+    _check_output_paths(("--out", args.out))
     for flag, value in (("--scenes", args.scenes), ("--height", args.height),
                         ("--width", args.width)):
         if value < 1:

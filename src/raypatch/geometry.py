@@ -108,6 +108,17 @@ def unproject(intrinsics, pose, pixels):
     return d_world / np.linalg.norm(d_world, axis=1, keepdims=True)
 
 
+def _fourier_channels(values_t, n_freq, out):
+    """Write the encoding of ``values_t`` [c, n] channel-major into ``out``
+    [2*F*c, n]: row (i*F + f)*2 holds sin(pi 2^f v_i), the next row the cos."""
+    c, n = values_t.shape
+    freqs = np.pi * (2.0 ** np.arange(n_freq))
+    args = values_t[:, None, :] * freqs[None, :, None]  # [c, F, n]
+    enc = out.reshape(c, n_freq, 2, n)
+    np.sin(args, out=enc[:, :, 0])
+    np.cos(args, out=enc[:, :, 1])
+
+
 def fourier_encode(values, n_freq):
     """Sinusoidal features per component, frequencies pi * 2^0 .. pi * 2^{F-1}.
 
@@ -118,15 +129,26 @@ def fourier_encode(values, n_freq):
     squeeze = v.ndim == 1
     if squeeze:
         v = v[None, :]
-    freqs = np.pi * (2.0 ** np.arange(n_freq))
-    args = v[:, :, None] * freqs[None, None, :]  # [n, c, F]
-    enc = np.stack([np.sin(args), np.cos(args)], axis=3)  # [n, c, F, 2]
-    enc = enc.reshape(v.shape[0], v.shape[1] * n_freq * 2)
+    enc = np.empty((2 * n_freq * v.shape[1], v.shape[0]))
+    _fourier_channels(v.T, n_freq, enc)
+    enc = np.ascontiguousarray(enc.T)
     return enc[0] if squeeze else enc
 
 
 def query_dim(f_origin, f_dir):
     return 6 * f_origin + 6 * f_dir
+
+
+def _ray_channels(intrinsics, pose, pixels, f_origin, f_dir):
+    """Fourier-encoded (origin, direction) features of the rays through
+    ``pixels`` [n, 2], channel-major: [6*f_origin + 6*f_dir, n]. The origin,
+    divided by ``SCENE_RADIUS``, is the same for every ray."""
+    n = pixels.shape[0]
+    out = np.empty((query_dim(f_origin, f_dir), n))
+    n_origin = 6 * f_origin
+    out[:n_origin] = fourier_encode(pose.origin / SCENE_RADIUS, f_origin)[:, None]
+    _fourier_channels(unproject(intrinsics, pose, pixels).T, f_dir, out[n_origin:])
+    return out
 
 
 def build_queries(intrinsics, pose, grid, f_origin, f_dir):
@@ -136,21 +158,14 @@ def build_queries(intrinsics, pose, grid, f_origin, f_dir):
     row-major patch order as ``patch_centers``. The origin is divided by
     ``SCENE_RADIUS`` before encoding.
     """
-    centers = patch_centers(grid)
-    dirs = unproject(intrinsics, pose, centers)
-    o_scaled = pose.origin / SCENE_RADIUS
-    o_enc = fourier_encode(o_scaled, f_origin)  # [6*f_origin]
-    o_rows = np.tile(o_enc, (grid.n_patches, 1))
-    d_rows = fourier_encode(dirs, f_dir)  # [n, 6*f_dir]
-    return Tensor(np.concatenate([o_rows, d_rows], axis=1))
+    return Tensor(_ray_channels(intrinsics, pose, patch_centers(grid), f_origin, f_dir).T)
 
 
 def ray_feature_map(intrinsics, pose, height, width, f_origin, f_dir):
-    """Per-pixel query encoding reshaped to channels: [6*(f_o+f_d), h, w].
+    """Per-pixel query encoding as channels: [6*(f_o+f_d), h, w].
 
-    Same features as ``build_queries`` on the k=1 grid, for concatenating to
-    image channels before the encoder convolutions.
+    Same features as ``build_queries`` on the k=1 grid, built channel-major
+    for concatenating to image channels before the encoder convolutions.
     """
-    grid = PatchGrid(height, width, 1)
-    q = build_queries(intrinsics, pose, grid, f_origin, f_dir)
-    return q.data.reshape(height, width, -1).transpose(2, 0, 1).copy()
+    pixels = patch_centers(PatchGrid(height, width, 1))
+    return _ray_channels(intrinsics, pose, pixels, f_origin, f_dir).reshape(-1, height, width)

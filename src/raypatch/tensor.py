@@ -1,10 +1,26 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Design:
-  * every value is a ``Tensor`` wrapping a C-contiguous float64 ndarray;
-  * executed ops append ``(output, backward_fn)`` records to a module-level
-    tape, so the backward pass replays the tape in exact reverse execution
-    order and visits each node once;
+  * every value is a ``Tensor`` wrapping a C-contiguous float64 ndarray. A
+    tensor that needs a gradient also carries a grad slot, a one-field
+    object its gradient accumulates in; a tensor that needs none carries no
+    slot, so code run under ``no_grad`` allocates nothing for gradients;
+  * executed ops append ``(slot, backward_fn)`` records to a module-level
+    tape, ``slot`` being the output's, so the backward pass replays the tape
+    in exact reverse execution order and visits each node once;
+  * records and closures hold gradient slots, never tensors. A closure
+    captures its inputs' slots plus only the arrays its backward reads, so
+    an op's output array lives only as long as the forward code or a
+    backward that reads it holds it. ``mul`` keeps each input's array only
+    for the other input's gradient and ``linear``/``matmul`` likewise;
+    ``leaky_relu`` keeps the boolean sign mask of its input; ``softmax_rows``
+    keeps its own output; ``layer_norm`` and ``batch_norm`` keep ``xhat`` and
+    ``inv``; ``conv2d`` keeps its im2col matrix (for the weight gradient,
+    built without a padded copy of the input) and the weight (for the input
+    gradient); ``split``, ``reshape``, ``take`` and the upsamplings keep
+    shapes and indices only. ``matmul(a, b, scale=s)`` multiplies the fresh
+    product by ``s`` in place, so a scaled product (attention's logits) is
+    one array, not two;
   * one tape per training step: ``backward`` pops each record as it runs it,
     so a record's closure, the forward arrays only it holds and the output's
     gradient are freed as the sweep passes them; afterwards only leaves
@@ -15,11 +31,6 @@ Design:
     ``split``), one array given to two inputs (``add``) and what may be the
     incoming gradient itself (``transpose``) are copied when they are an
     input's first gradient;
-  * a record keeps only the arrays its backward reads. A ``conv2d`` record
-    keeps the im2col matrix, which it builds without a padded copy of the
-    input, and keeps the input only if the input needs a gradient.
-    ``matmul(a, b, scale=s)`` multiplies the fresh product by ``s`` in place,
-    so a scaled product (attention's logits) is one array, not two;
   * no broadcasting beyond explicit bias adds — shape mismatches raise
     ``DimensionError`` instead of silently broadcasting.
 
@@ -110,8 +121,9 @@ def _recording():
 
 
 def _record(out, backward_fn):
-    if _tape is not None and out.requires_grad:
-        _tape.append((out, backward_fn))
+    """Append ``out``'s record; only outputs made while recording carry a slot."""
+    if out._slot is not None:
+        _tape.append((out._slot, backward_fn))
 
 
 def tape_clear():
@@ -120,10 +132,20 @@ def tape_clear():
         _tape = []
 
 
-class Tensor:
-    """A float64 ndarray plus gradient bookkeeping."""
+class _Slot:
+    """Where backward gathers one tensor's gradient. Records and closures hold
+    slots, not tensors, so holding a gradient keeps no data array alive."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
+class Tensor:
+    """A float64 ndarray plus, if it needs a gradient, a grad slot."""
+
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -131,8 +153,29 @@ class Tensor:
             arr = np.ascontiguousarray(arr)  # 0-d stays 0-d: it is always contiguous
         self.data = arr
         # recording disabled -> the result is detached, like torch.no_grad
-        self.requires_grad = bool(requires_grad) and _recording()
-        self.grad = None
+        self._slot = _Slot() if requires_grad and _tape is not None else None
+
+    @property
+    def requires_grad(self):
+        return self._slot is not None
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        if not value:
+            self._slot = None
+        elif self._slot is None:
+            self._slot = _Slot()
+
+    @property
+    def grad(self):
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._slot is not None:
+            self._slot.grad = g
+        elif g is not None:
+            raise RuntimeError("cannot set the gradient of a tensor that needs none")
 
     @property
     def shape(self):
@@ -156,28 +199,29 @@ def parameter(data):
     return t
 
 
-def _accumulate(t, g, owned=False):
-    """Add ``g`` into ``t.grad``. ``owned``: ``g`` is a fresh array that no one
+def _accumulate(slot, g, owned=False):
+    """Add ``g`` into ``slot.grad``; a ``None`` slot (an input that needs no
+    gradient) takes nothing. ``owned``: ``g`` is a fresh array that no one
     else holds, so a first gradient may be stored as it is instead of copied.
     A numpy scalar (the product of a 0-d gradient) is stored as a 0-d array."""
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is not None:
-        t.grad += g
+    if slot.grad is not None:
+        slot.grad += g
     elif owned and isinstance(g, np.ndarray):
-        t.grad = g
+        slot.grad = g
     else:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        slot.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
 
 
 def backward(loss):
     """Reverse-mode sweep from scalar ``loss`` through the recorded tape.
 
     Consumes the tape: each record is popped before its backward runs and
-    the output's gradient is taken off it, so both are freed as soon as the
-    sweep has passed them, and each recorded graph supports exactly one
-    backward call. Afterwards only leaves hold a ``.grad``. Ops whose outputs
-    the loss never used contribute nothing.
+    the gradient is taken out of the output's slot, so both are freed as soon
+    as the sweep has passed them, and each recorded graph supports exactly
+    one backward call. Afterwards only leaves hold a ``.grad``. Ops whose
+    outputs the loss never used contribute nothing.
     """
     global _tape
     if _tape is None:
@@ -189,8 +233,8 @@ def backward(loss):
     nodes, _tape = _tape, []
     loss.grad = np.asarray(1.0)
     while nodes:
-        out, fn = nodes.pop()
-        g, out.grad = out.grad, None
+        slot, fn = nodes.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)
 
@@ -203,15 +247,21 @@ def _as_scalar(x):
     return isinstance(x, (int, float, np.floating, np.integer))
 
 
+def _slot_of(t):
+    """The grad slot of an optional input (a bias may be ``None``)."""
+    return None if t is None else t._slot
+
+
 def add(a, b):
     """Elementwise sum of two same-shape tensors; no broadcasting."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
+    sa, sb = a._slot, b._slot
+    out = Tensor(a.data + b.data, requires_grad=sa is not None or sb is not None)
 
     def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(sa, g)
+        _accumulate(sb, g)
 
     _record(out, bwd)
     return out
@@ -220,11 +270,12 @@ def add(a, b):
 def sub(a, b):
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
+    sa, sb = a._slot, b._slot
+    out = Tensor(a.data - b.data, requires_grad=sa is not None or sb is not None)
 
     def bwd(g):
-        _accumulate(a, g)
-        _accumulate(b, -g, owned=True)
+        _accumulate(sa, g)
+        _accumulate(sb, -g, owned=True)
 
     _record(out, bwd)
     return out
@@ -232,18 +283,25 @@ def sub(a, b):
 
 def mul(a, b):
     """Elementwise (same-shape) or tensor-by-scalar product."""
+    sa = a._slot
     if _as_scalar(b):
         s = float(b)
-        out = Tensor(a.data * s, requires_grad=a.requires_grad)
-        _record(out, lambda g: _accumulate(a, g * s, owned=True))
+        out = Tensor(a.data * s, requires_grad=sa is not None)
+        _record(out, lambda g: _accumulate(sa, g * s, owned=True))
         return out
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
+    sb = b._slot
+    out = Tensor(a.data * b.data, requires_grad=sa is not None or sb is not None)
+    # each input's array is kept only for the other input's gradient
+    a_data = a.data if sb is not None else None
+    b_data = b.data if sa is not None else None
 
     def bwd(g):
-        _accumulate(a, g * b.data, owned=True)
-        _accumulate(b, g * a.data, owned=True)
+        if sa is not None:
+            _accumulate(sa, g * b_data, owned=True)
+        if sb is not None:
+            _accumulate(sb, g * a_data, owned=True)
 
     _record(out, bwd)
     return out
@@ -251,31 +309,34 @@ def mul(a, b):
 
 def leaky_relu(x):
     # for 0 < LEAKY_SLOPE < 1 the larger of x and LEAKY_SLOPE * x is the branch
-    out = Tensor(np.maximum(x.data, LEAKY_SLOPE * x.data), requires_grad=x.requires_grad)
-    _record(out, lambda g: _accumulate(x, g * np.where(x.data >= 0, 1.0, LEAKY_SLOPE),
-                                       owned=True))
+    sx = x._slot
+    out = Tensor(np.maximum(x.data, LEAKY_SLOPE * x.data), requires_grad=sx is not None)
+    if out._slot is not None:
+        positive = x.data >= 0  # one byte per element instead of x's eight
+        _record(out, lambda g: _accumulate(sx, g * np.where(positive, 1.0, LEAKY_SLOPE),
+                                           owned=True))
     return out
 
 
 def absolute(x):
-    out = Tensor(np.abs(x.data), requires_grad=x.requires_grad)
+    sx = x._slot
+    out = Tensor(np.abs(x.data), requires_grad=sx is not None)
     sign = np.sign(x.data)
-    _record(out, lambda g: _accumulate(x, g * sign, owned=True))
+    _record(out, lambda g: _accumulate(sx, g * sign, owned=True))
     return out
 
 
 def sum_all(x):
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
-    shape = x.shape
-    _record(out, lambda g: _accumulate(x, np.full(shape, float(g)), owned=True))
+    sx, shape = x._slot, x.shape
+    out = Tensor(x.data.sum(), requires_grad=sx is not None)
+    _record(out, lambda g: _accumulate(sx, np.full(shape, float(g)), owned=True))
     return out
 
 
 def mean_all(x):
-    n = x.size
-    out = Tensor(x.data.mean(), requires_grad=x.requires_grad)
-    shape = x.shape
-    _record(out, lambda g: _accumulate(x, np.full(shape, float(g) / n), owned=True))
+    sx, shape, n = x._slot, x.shape, x.size
+    out = Tensor(x.data.mean(), requires_grad=sx is not None)
+    _record(out, lambda g: _accumulate(sx, np.full(shape, float(g) / n), owned=True))
     return out
 
 
@@ -284,13 +345,13 @@ def take(x, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise DimensionError("take expects a flat index vector")
-    out = Tensor(x.data.reshape(-1)[idx], requires_grad=x.requires_grad)
-    shape = x.shape
+    sx, shape = x._slot, x.shape
+    out = Tensor(x.data.reshape(-1)[idx], requires_grad=sx is not None)
 
     def bwd(g):
         full = np.zeros(shape, dtype=np.float64).reshape(-1)
         np.add.at(full, idx, g)
-        _accumulate(x, full.reshape(shape), owned=True)
+        _accumulate(sx, full.reshape(shape), owned=True)
 
     _record(out, bwd)
     return out
@@ -307,12 +368,13 @@ def concat(tensors, axis=0):
     if not tensors:
         raise DimensionError("concat of empty list")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in tensors))
+    slots = [t._slot for t in tensors]
+    out = Tensor(out_data, requires_grad=any(s is not None for s in slots))
     cuts = _cuts([t.shape[axis] for t in tensors], axis % out_data.ndim)
 
     def bwd(g):
-        for t, cut in zip(tensors, cuts):
-            _accumulate(t, g[cut])
+        for slot, cut in zip(slots, cuts):
+            _accumulate(slot, g[cut])
 
     _record(out, bwd)
     return out
@@ -323,12 +385,13 @@ def split(x, sizes, axis=0):
     if min(sizes, default=-1) < 0 or sum(sizes) != x.shape[axis]:
         raise DimensionError(f"split sizes {sizes} do not add up to axis {axis} of {x.shape}")
     cuts = _cuts(sizes, axis % x.data.ndim)
-    parts = [Tensor(x.data[cut], requires_grad=x.requires_grad) for cut in cuts]
+    sx, shape = x._slot, x.shape
+    parts = [Tensor(x.data[cut], requires_grad=sx is not None) for cut in cuts]
 
-    def bwd(cut, g):  # each part's gradient goes into its slice of one buffer, x.grad
-        if x.grad is None:
-            x.grad = np.zeros(x.shape)
-        x.grad[cut] += g
+    def bwd(cut, g):  # each part's gradient goes into its slice of one buffer, x's
+        if sx.grad is None:
+            sx.grad = np.zeros(shape)
+        sx.grad[cut] += g
 
     for part, cut in zip(parts, cuts):
         _record(part, lambda g, cut=cut: bwd(cut, g))
@@ -336,9 +399,9 @@ def split(x, sizes, axis=0):
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
-    old = x.shape
-    _record(out, lambda g: _accumulate(x, g.reshape(old)))
+    sx, old = x._slot, x.shape
+    out = Tensor(x.data.reshape(shape), requires_grad=sx is not None)
+    _record(out, lambda g: _accumulate(sx, g.reshape(old)))
     return out
 
 
@@ -346,9 +409,10 @@ def transpose(x, axes):
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.data.ndim}")
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=x.requires_grad)
+    sx = x._slot
+    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=sx is not None)
     inverse = tuple(np.argsort(axes))
-    _record(out, lambda g: _accumulate(x, np.ascontiguousarray(g.transpose(inverse))))
+    _record(out, lambda g: _accumulate(sx, np.ascontiguousarray(g.transpose(inverse))))
     return out
 
 
@@ -358,7 +422,8 @@ def transpose(x, axes):
 
 def _product(name, x, w, b, scale=None):
     """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row, or times
-    ``scale``) as one tape op."""
+    ``scale``) as one tape op. The record keeps ``x`` only for ``w``'s
+    gradient and ``w`` only for ``x``'s."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise DimensionError(f"{name} expects two rank-2 tensors")
     if x.shape[1] != w.shape[0]:
@@ -371,18 +436,20 @@ def _product(name, x, w, b, scale=None):
         y += b.data
     if scale is not None:
         y *= scale
-    req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
-    out = Tensor(y, requires_grad=req)
+    sx, sw, sb = x._slot, w._slot, _slot_of(b)
+    out = Tensor(y, requires_grad=sx is not None or sw is not None or sb is not None)
+    x_data = x.data if sw is not None else None
+    w_data = w.data if sx is not None else None
 
     def bwd(g):
         if scale is not None:
             g = g * scale  # what a separate mul op's backward handed over
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T, owned=True)
-        if w.requires_grad:
-            _accumulate(w, x.data.T @ g, owned=True)
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=0), owned=True)
+        if sx is not None:
+            _accumulate(sx, g @ w_data.T, owned=True)
+        if sw is not None:
+            _accumulate(sw, x_data.T @ g, owned=True)
 
     _record(out, bwd)
     return out
@@ -403,7 +470,10 @@ def linear(x, w, b=None):
 
 
 def softmax_rows(x):
-    """Row-wise softmax of a [n, m] tensor, max-subtracted for stability."""
+    """Row-wise softmax of a [n, m] tensor, max-subtracted for stability.
+
+    The record keeps the output, not the input: the logits are freed once
+    the caller drops them."""
     if x.data.ndim != 2:
         raise DimensionError("softmax_rows expects rank 2")
     if not np.all(np.isfinite(x.data)):
@@ -412,20 +482,23 @@ def softmax_rows(x):
     y = x.data - x.data.max(axis=1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=1, keepdims=True)
-    out = Tensor(y, requires_grad=x.requires_grad)
+    sx = x._slot
+    out = Tensor(y, requires_grad=sx is not None)
 
     def bwd(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         gx = g - dot
         gx *= y
-        _accumulate(x, gx, owned=True)
+        _accumulate(sx, gx, owned=True)
 
     _record(out, bwd)
     return out
 
 
 def layer_norm(x, gamma, beta):
-    """Normalize each row of [n, d] to zero mean / unit variance, then affine."""
+    """Normalize each row of [n, d] to zero mean / unit variance, then affine.
+
+    The record keeps ``xhat`` and ``inv``, not the input or the output."""
     if x.data.ndim != 2:
         raise DimensionError("layer_norm expects rank 2")
     d = x.shape[1]
@@ -438,20 +511,22 @@ def layer_norm(x, gamma, beta):
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
-    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    sx, sg, sb = x._slot, gamma._slot, beta._slot
+    out = Tensor(y, requires_grad=sx is not None or sg is not None or sb is not None)
+    g_data = gamma.data if sx is not None else None  # read only for x's gradient
 
     def bwd(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0), owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=0), owned=True)
-        if x.requires_grad:
-            gx = g * gamma.data
+        if sg is not None:
+            _accumulate(sg, (g * xhat).sum(axis=0), owned=True)
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=0), owned=True)
+        if sx is not None:
+            gx = g * g_data
             # d/dx of (x - mu) * inv with mu, inv functions of the row
             term = gx - gx.mean(axis=1, keepdims=True)
             term -= xhat * (gx * xhat).mean(axis=1, keepdims=True)
             term *= inv
-            _accumulate(x, term, owned=True)
+            _accumulate(sx, term, owned=True)
 
     _record(out, bwd)
     return out
@@ -471,7 +546,8 @@ def batch_norm(x, gamma, beta, state, training):
     Train mode normalizes with the current map's spatial statistics and
     updates ``state`` as running = m * running + (1 - m) * batch, m = BN_MOMENTUM
     (biased variance throughout). Eval mode normalizes with the stored
-    running statistics.
+    running statistics. The record keeps ``xhat`` and ``inv``, not the input
+    or the output.
     """
     if x.data.ndim != 3:
         raise DimensionError("batch_norm expects [c, h, w]")
@@ -493,22 +569,24 @@ def batch_norm(x, gamma, beta, state, training):
     xhat *= inv[:, None, None]
     y = xhat * gamma.data[:, None, None]
     y += beta.data[:, None, None]
-    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    sx, sg, sb = x._slot, gamma._slot, beta._slot
+    out = Tensor(y, requires_grad=sx is not None or sg is not None or sb is not None)
+    g_data = gamma.data if sx is not None else None  # read only for x's gradient
 
     def bwd(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(1, 2)), owned=True)
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(1, 2)), owned=True)
-        if x.requires_grad:
-            gx = g * gamma.data[:, None, None]
+        if sg is not None:
+            _accumulate(sg, (g * xhat).sum(axis=(1, 2)), owned=True)
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=(1, 2)), owned=True)
+        if sx is not None:
+            gx = g * g_data[:, None, None]
             if training:
                 # batch statistics depend on x
                 term = gx - gx.mean(axis=(1, 2), keepdims=True)
                 term -= xhat * (gx * xhat).mean(axis=(1, 2), keepdims=True)
                 gx = term
             gx *= inv[:, None, None]
-            _accumulate(x, gx, owned=True)
+            _accumulate(sx, gx, owned=True)
 
     _record(out, bwd)
     return out
@@ -534,8 +612,8 @@ def conv2d(x, w, b=None, stride=1):
     as im2col + one matrix product so the work lands in BLAS. The im2col
     matrix is built from ``x`` without a padded copy: each tap copies its
     in-range window and zeroes its border strips. The tape record keeps the
-    matrix (the weight gradient reads it) and keeps ``x`` only if ``x`` needs
-    a gradient.
+    matrix only for the weight gradient and the weight only for the input
+    gradient; it keeps neither ``x`` nor the output.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError("conv2d expects x[c,h,w], w[c_out,c_in,3,3]")
@@ -566,23 +644,24 @@ def conv2d(x, w, b=None, stride=1):
     out_data = (wmat @ mat).reshape(c_out, oh, ow)
     if b is not None:
         out_data += b.data[:, None, None]
-    req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
-    out = Tensor(out_data, requires_grad=req)
+    sx, sw, sb = x._slot, w._slot, _slot_of(b)
+    out = Tensor(out_data, requires_grad=sx is not None or sw is not None or sb is not None)
     flops.add_flops(2.0 * c_out * c_in * 9 * oh * ow)
-    src = x if x.requires_grad else None  # the record holds x only to hand it a gradient
+    cols_kept = mat if sw is not None else None
+    w_kept = wmat if sx is not None else None
 
     def bwd(g):
         gmat = g.reshape(c_out, oh * ow)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(1, 2)), owned=True)
-        if w.requires_grad:
-            _accumulate(w, (gmat @ mat.T).reshape(w.shape), owned=True)
-        if src is not None:
-            dcols = (wmat.T @ gmat).reshape(c_in, 3, 3, oh, ow)
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=(1, 2)), owned=True)
+        if sw is not None:
+            _accumulate(sw, (gmat @ cols_kept.T).reshape(c_out, c_in, 3, 3), owned=True)
+        if sx is not None:
+            dcols = (w_kept.T @ gmat).reshape(c_in, 3, 3, oh, ow)
             dx = np.zeros((c_in, h, wd), dtype=np.float64)
             for ky, kx, (r0, r1, src_r), (c0, c1, src_c) in taps:
                 dx[:, src_r, src_c] += dcols[:, ky, kx, r0:r1, c0:c1]
-            _accumulate(src, dx, owned=True)
+            _accumulate(sx, dx, owned=True)
 
     _record(out, bwd)
     return out
@@ -592,11 +671,12 @@ def upsample_nearest2x(x):
     """[c, h, w] -> [c, 2h, 2w] by pixel duplication."""
     if x.data.ndim != 3:
         raise DimensionError("upsample_nearest2x expects [c, h, w]")
-    out = Tensor(x.data.repeat(2, axis=1).repeat(2, axis=2), requires_grad=x.requires_grad)
+    sx = x._slot
+    out = Tensor(x.data.repeat(2, axis=1).repeat(2, axis=2), requires_grad=sx is not None)
     c, h, w = x.shape
 
     def bwd(g):
-        _accumulate(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)), owned=True)
+        _accumulate(sx, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)), owned=True)
 
     _record(out, bwd)
     return out
@@ -621,7 +701,8 @@ def upsample_bilinear2x(x):
     c0, c1, ca = _bilinear_axis_weights(2 * w, w)
     rows = (1.0 - ra)[None, :, None] * x.data[:, r0, :] + ra[None, :, None] * x.data[:, r1, :]
     out_data = (1.0 - ca)[None, None, :] * rows[:, :, c0] + ca[None, None, :] * rows[:, :, c1]
-    out = Tensor(out_data, requires_grad=x.requires_grad)
+    sx = x._slot
+    out = Tensor(out_data, requires_grad=sx is not None)
     # priced as 4 MACs (two lerps) per output element
     flops.add_flops(8.0 * c * (2 * h) * (2 * w))
 
@@ -632,7 +713,7 @@ def upsample_bilinear2x(x):
         dx = np.zeros((c, h, w), dtype=np.float64)
         np.add.at(dx, (slice(None), r0), drows * (1.0 - ra)[None, :, None])
         np.add.at(dx, (slice(None), r1), drows * ra[None, :, None])
-        _accumulate(x, dx, owned=True)
+        _accumulate(sx, dx, owned=True)
 
     _record(out, bwd)
     return out

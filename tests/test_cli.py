@@ -261,6 +261,12 @@ class TestBadInvocations:
                                     "--height must be at least 1, got -4"),
         "dataset_zero_width": (["dataset", "--out", "{x}", "--width", "0"],
                                "--width must be at least 1, got 0"),
+        "dataset_out_dir_missing": (["dataset", "--out", "{x}.d/x.rpds", "--scenes", "2",
+                                     "--height", "8", "--width", "8"],
+                                    "--out {x}.d/x.rpds: its directory does not exist"),
+        "dataset_out_is_a_directory": (["dataset", "--out", "{dir}", "--scenes", "2",
+                                        "--height", "8", "--width", "8"],
+                                       "--out {dir} is a directory"),
         "train_log_every_0": (TRAIN + ["{ds}", "--log-every", "0"], "--log-every"),
         "train_one_scene": (TRAIN + ["{one}"], "{one}"),
         "train_no_scene": (TRAIN + ["{none}"], "{none}"),
