@@ -10,9 +10,10 @@ The container (magic, version, JSON header) is ``binfile``'s. The meta JSON
 carries every ``ModelConfig`` field (all integers), the decoder kind and the
 training step count, enough to rebuild the model object before filling in
 weights; the output layout and the scene radius are constants of the code,
-not stored. Entries cover trainable parameters and batch-norm running
-statistics; optimizer state is deliberately not persisted. Values are stored
-as f32, which makes save -> load -> save byte-stable, and must be finite.
+not stored. Entries are the trainable parameters only: the model holds no
+other state, and optimizer state is deliberately not persisted. Values are
+stored as f32, which makes save -> load -> save byte-stable, and must be
+finite.
 """
 
 from __future__ import annotations
@@ -23,25 +24,20 @@ import struct
 
 import numpy as np
 
-from . import tensor as T
 from .binfile import read_exact, read_header, write_header
 from .model import DECODERS, LightFieldModel, ModelConfig, ModelConfigError
 
 MAGIC = b"RPCK"
 # 2: one fused Q, K and V projection per attention block
 # 3: no out_channels or scene_radius in the config meta: both are code constants
-VERSION = 3
-
-
-def _named_state(model):
-    return list(model.named_parameters()) + [
-        (name, buf) for name, buf in model.named_buffers()]
+# 4: parameters only: the conv blocks' norm keeps no running statistics
+VERSION = 4
 
 
 def save_checkpoint(path, model, step=0):
     if type(step) is not int or step < 0:  # what load_checkpoint accepts
         raise ValueError(f"{path}: step is not an integer of at least 0: {step!r}")
-    entries = _named_state(model)
+    entries = model.named_parameters()
     meta = {
         "config": dataclasses.asdict(model.cfg),
         "decoder": model.decoder_kind,
@@ -50,10 +46,8 @@ def save_checkpoint(path, model, step=0):
     with open(path, "wb") as fh:
         write_header(fh, MAGIC, VERSION, meta)
         fh.write(struct.pack("<I", len(entries)))
-        for name, value in entries:
-            # parameters are Tensors, batch-norm buffers bare arrays
-            data = value.data if isinstance(value, T.Tensor) else value
-            arr = np.asarray(data, dtype="<f4")
+        for name, param in entries:
+            arr = np.asarray(param.data, dtype="<f4")
             encoded = name.encode()
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -104,19 +98,18 @@ def load_checkpoint(path):
     except ModelConfigError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     model = LightFieldModel(cfg, meta["decoder"])
-    expected = dict(_named_state(model))
+    expected = dict(model.named_parameters())
     if set(stored) != set(expected):
         missing = set(expected) - set(stored)
         surplus = set(stored) - set(expected)
         raise ValueError(f"{path}: state names do not match the rebuilt model "
                          f"(missing {sorted(missing)}, surplus {sorted(surplus)})")
-    for name, value in _named_state(model):
+    for name, param in expected.items():
         arr = stored[name].astype(np.float64)
-        target = value.data if isinstance(value, T.Tensor) else value
-        if target.shape != arr.shape:
+        if param.shape != arr.shape:
             raise ValueError(f"{path}: {name} has shape {arr.shape}, "
-                             f"model wants {target.shape}")
-        target[...] = arr
+                             f"model wants {param.shape}")
+        param.data[...] = arr
     return model, meta
 
 

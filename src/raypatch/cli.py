@@ -85,14 +85,13 @@ def _op_cases(rng):
     conv_w = T.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3)
     gamma = T.Tensor(rng.uniform(0.5, 1.5, 8))
     beta = T.Tensor(rng.standard_normal(8))
-    bn = T.BatchNormState(2)
-    bn_gamma, bn_beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
+    in_gamma, in_beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
     idx = rng.permutation(24)[:7]
     # probes turn row-normalized outputs into informative scalars; every one
     # must be drawn up front or finite differencing sees a moving target
     probe_sm = T.Tensor(rng.standard_normal((4, 5)))
     probe_ln = T.Tensor(rng.standard_normal((3, 8)))
-    probe_bn = T.Tensor(rng.standard_normal((2, 4, 4)))
+    probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
     # rows added later draw from a child generator, so every older row keeps
     # the inputs that rng's stream gave it
     late = rng.spawn(1)[0]
@@ -114,8 +113,8 @@ def _op_cases(rng):
          T.Tensor(rng.standard_normal((2, 5, 6)))),
         ("conv2d_s2", lambda x: T.sum_all(T.conv2d(x, conv_w, stride=2)),
          T.Tensor(rng.standard_normal((2, 6, 6)))),
-        ("batch_norm", lambda x: T.sum_all(T.mul(
-            T.batch_norm(x, bn_gamma, bn_beta, bn, True), probe_bn)),
+        ("instance_norm", lambda x: T.sum_all(T.mul(
+            T.instance_norm(x, in_gamma, in_beta), probe_in)),
          T.Tensor(rng.standard_normal((2, 4, 4)))),
         ("leaky_relu", lambda x: T.sum_all(T.leaky_relu(x)),
          T.Tensor(rng.standard_normal(40) + 0.05)),
@@ -163,9 +162,8 @@ def _model_cases(rng, seed):
         named = dict(model.named_parameters())
 
         def loss_given(image, model=model):
-            z = model.encode([(image, views[0].intrinsics, views[0].pose)],
-                             training=True)
-            out = model.decode(z, target.intrinsics, target.pose, training=True)
+            z = model.encode([(image, views[0].intrinsics, views[0].pose)])
+            out = model.decode(z, target.intrinsics, target.pose)
             total, _ = M.loss_total(out, target.image, target.depth)
             return total
 
@@ -351,8 +349,8 @@ def cmd_render(args):
                              f"but {args.dataset} holds {header['h']}x{header['w']} views")
         inputs, _ = M.scene_to_views(views)
         with T.no_grad():
-            z = model.encode(inputs, training=False)
-            out = model.decode(z, chosen.intrinsics, chosen.pose, training=False)
+            z = model.encode(inputs)
+            out = model.decode(z, chosen.intrinsics, chosen.pose)
             rgb_t, logd = M.split_output(out)
         rgb = rgb_t.data
         depth = np.exp(logd.data)

@@ -10,8 +10,8 @@ Conventions:
     n_q * n_kv * heads * bytes_per_element.
 
 Families:
-  srt / osrt   encoder self-attends over all image tokens, decoder queries
-               attend back to those tokens (osrt shares the srt cost shape);
+  srt          encoder self-attends over all image tokens, decoder queries
+               attend back to those tokens;
   define       encoder cross-attends image tokens into a fixed latent set,
                decoder queries attend to the latents;
   rp-*         same encoders, but the decoder issues one query per k x k
@@ -24,8 +24,8 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-BASE_FAMILIES = ("srt", "osrt", "define")
-RP_FAMILIES = ("rp-srt", "rp-osrt", "rp-define")
+BASE_FAMILIES = ("srt", "define")
+RP_FAMILIES = ("rp-srt", "rp-define")
 FAMILIES = BASE_FAMILIES + RP_FAMILIES
 
 

@@ -120,25 +120,23 @@ class Conv3x3:
 
 
 class ConvBlock:
-    """3x3 convolution, batch norm, leaky-ReLU."""
+    """3x3 convolution, instance norm, leaky-ReLU.
+
+    The norm uses the statistics of the one map it is given, in training and
+    at inference alike, so the block holds parameters only.
+    """
 
     def __init__(self, rng, c_in, c_out, stride=1):
         self.conv = Conv3x3(rng, c_in, c_out, stride)
         self.gamma = T.parameter(np.ones(c_out))
         self.beta = T.parameter(np.zeros(c_out))
-        self.state = T.BatchNormState(c_out)
 
-    def __call__(self, x, training):
-        return T.leaky_relu(
-            T.batch_norm(self.conv(x), self.gamma, self.beta, self.state, training))
+    def __call__(self, x):
+        return T.leaky_relu(T.instance_norm(self.conv(x), self.gamma, self.beta))
 
     def params(self, prefix):
         return self.conv.params(prefix + ".conv") + [
             (prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
-
-    def buffers(self, prefix):
-        return [(prefix + ".running_mean", self.state.running_mean),
-                (prefix + ".running_var", self.state.running_var)]
 
 
 def _conv_channels(cfg):
@@ -159,7 +157,7 @@ class Encoder:
             c = c_out
         self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.enc_blocks)]
 
-    def __call__(self, views, training):
+    def __call__(self, views):
         """views: iterable of (image [3,h,w], intrinsics, pose). Returns tokens [n, d]."""
         cfg = self.cfg
         tokens = []
@@ -172,7 +170,7 @@ class Encoder:
                 x = T.Tensor(np.concatenate([np.asarray(image, dtype=np.float64), rays]))
             with flops.stage("encoder_conv"):
                 for conv in self.convs:
-                    x = conv(x, training)
+                    x = conv(x)
             c, hh, ww = x.shape
             tokens.append(T.transpose(T.reshape(x, (c, hh * ww)), (1, 0)))
         z = tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
@@ -187,12 +185,6 @@ class Encoder:
             out += conv.params(f"enc.conv{i}")
         for i, blk in enumerate(self.blocks):
             out += blk.params(f"enc.block{i}")
-        return out
-
-    def buffers(self):
-        out = []
-        for i, conv in enumerate(self.convs):
-            out += conv.buffers(f"enc.conv{i}")
         return out
 
     def layer_spec(self, n_views):
@@ -270,7 +262,7 @@ class RayPatchDecoder(_QueryDecoder):
             ch //= 2
         self.final = Conv3x3(rng, ch, OUT_CHANNELS)
 
-    def __call__(self, z, intrinsics, pose, training):
+    def __call__(self, z, intrinsics, pose):
         cfg = self.cfg
         feats = self._attend(z, intrinsics, pose, self.feature_head)
         with flops.stage("decoder_cnn"):
@@ -281,7 +273,7 @@ class RayPatchDecoder(_QueryDecoder):
                 pre = tap(fmap)
                 acc = pre if acc is None else T.add(acc, pre)
                 acc = T.upsample_bilinear2x(acc)
-                fmap = body(T.upsample_nearest2x(fmap), training)
+                fmap = body(T.upsample_nearest2x(fmap))
             out = self.final(fmap)
             if acc is not None:
                 out = T.add(acc, out)
@@ -292,12 +284,6 @@ class RayPatchDecoder(_QueryDecoder):
         for i, (tap, body) in enumerate(zip(self.taps, self.body)):
             out += tap.params(f"dec.tap{i}") + body.params(f"dec.body{i}")
         out += self.final.params("dec.final")
-        return out
-
-    def buffers(self):
-        out = []
-        for i, body in enumerate(self.body):
-            out += body.buffers(f"dec.body{i}")
         return out
 
     def _head_cost(self, n_q):
@@ -318,7 +304,7 @@ class PixelDecoder(_QueryDecoder):
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, OUT_CHANNELS)
 
-    def __call__(self, z, intrinsics, pose, training):
+    def __call__(self, z, intrinsics, pose):
         cfg = self.cfg
         out = self._attend(z, intrinsics, pose,
                            lambda x: self.head2(T.leaky_relu(self.head1(x))))
@@ -327,9 +313,6 @@ class PixelDecoder(_QueryDecoder):
 
     def params(self):
         return super().params() + self.head1.params("dec.head1") + self.head2.params("dec.head2")
-
-    def buffers(self):
-        return []
 
     def _head_cost(self, n_q):
         d = self.cfg.d_model
@@ -354,27 +337,24 @@ class LightFieldModel:
         if len(names) != len(set(names)):
             raise AssertionError("duplicate parameter names")
 
-    def encode(self, views, training=False):
+    def encode(self, views):
         """Token set [n, d_model] of the input views.
 
         The tokens are a snapshot of the current weights: after changing the
         weights, encode again rather than decode tokens encoded before.
         """
-        return self.encoder(views, training)
+        return self.encoder(views)
 
-    def decode(self, z, intrinsics, pose, training=False):
+    def decode(self, z, intrinsics, pose):
         """Output [OUT_CHANNELS, h, w] of one target view from tokens ``z``.
 
         ``z`` must come from an encode under the current weights: without
         gradient recording, the decoder blocks keep the K/V of the last ``z``.
         """
-        return self.decoder(z, intrinsics, pose, training)
+        return self.decoder(z, intrinsics, pose)
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()
-
-    def named_buffers(self):
-        return self.encoder.buffers() + self.decoder.buffers()
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +464,11 @@ def train_step(model, views, opt):
     T.tape_clear()
     opt.zero_grad()
     inputs, targets = scene_to_views(views)
-    z = model.encode(inputs, training=True)
+    z = model.encode(inputs)
     total = None
     metrics = {"rgb": 0.0, "depth": 0.0, "psnr": 0.0}
     for v in targets:
-        out = model.decode(z, v.intrinsics, v.pose, training=True)
+        out = model.decode(z, v.intrinsics, v.pose)
         l, parts = loss_total(out, v.image, v.depth)
         total = l if total is None else T.add(total, l)
         metrics["rgb"] += parts["rgb"] / len(targets)
@@ -511,9 +491,9 @@ def evaluate(model, scenes):
     for views in scenes:
         inputs, targets = scene_to_views(views)
         with T.no_grad():
-            z = model.encode(inputs, training=False)
+            z = model.encode(inputs)
             for v in targets:
-                out = model.decode(z, v.intrinsics, v.pose, training=False)
+                out = model.decode(z, v.intrinsics, v.pose)
                 l, _ = loss_total(out, v.image, v.depth)
                 rgb, _ = split_output(out)
                 agg["loss"] += l.item() / len(targets) / len(scenes)

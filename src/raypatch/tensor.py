@@ -14,7 +14,7 @@ Design:
     backward that reads it holds it. ``mul`` keeps each input's array only
     for the other input's gradient and ``linear``/``matmul`` likewise;
     ``leaky_relu`` keeps the boolean sign mask of its input; ``softmax_rows``
-    keeps its own output; ``layer_norm`` and ``batch_norm`` keep ``xhat`` and
+    keeps its own output; ``layer_norm`` and ``instance_norm`` keep ``xhat`` and
     ``inv``; ``conv2d`` keeps its im2col matrix (for the weight gradient,
     built without a padded copy of the input) and the weight (for the input
     gradient); ``split``, ``reshape``, ``take`` and the upsamplings keep
@@ -35,8 +35,9 @@ Design:
     ``DimensionError`` instead of silently broadcasting.
 
 The op set is exactly what the patch-ray model needs: matrix product,
-row softmax, layer/batch norm, 3x3 convolution (stride 1 or 2), 2x nearest
-and bilinear upsampling, and elementwise glue.
+row softmax, layer norm, instance norm (each channel of one [c, h, w] map
+normalized with its own statistics), 3x3 convolution (stride 1 or 2), 2x
+nearest and bilinear upsampling, and elementwise glue.
 
 Allocator: importing this module (so importing ``raypatch``) sets glibc's
 ``mallopt`` thresholds for the whole process: arrays up to 32 MiB come from
@@ -61,8 +62,7 @@ from . import flops
 
 
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
-NORM_EPS = 1e-5     # added to the variance by layer_norm and batch_norm
-BN_MOMENTUM = 0.9   # weight of the old value in batch_norm's running statistics
+NORM_EPS = 1e-5     # added to each row's variance by layer_norm and instance_norm
 
 M_TRIM_THRESHOLD = -1          # glibc mallopt parameter numbers (malloc.h)
 M_MMAP_THRESHOLD = -3
@@ -495,6 +495,27 @@ def softmax_rows(x):
     return out
 
 
+def _standardize_rows(x2):
+    """(xhat, inv) of a [n, m] array: each row minus its mean, times ``inv``,
+    the inverse root of its biased variance plus NORM_EPS ([n, 1])."""
+    mu = x2.mean(axis=1, keepdims=True)
+    xhat = x2 - mu  # centred, then scaled in place
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _standardize_rows_grad(gx, xhat, inv):
+    """Gradient of the rows given ``gx``, the gradient of ``xhat``: the
+    derivative of (x - mu) * inv with mu and inv functions of the row. Returns
+    a fresh array."""
+    term = gx - gx.mean(axis=1, keepdims=True)
+    term -= xhat * (gx * xhat).mean(axis=1, keepdims=True)
+    term *= inv
+    return term
+
+
 def layer_norm(x, gamma, beta):
     """Normalize each row of [n, d] to zero mean / unit variance, then affine.
 
@@ -504,11 +525,7 @@ def layer_norm(x, gamma, beta):
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError("layer_norm affine params must be [d]")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu  # centred, then scaled in place
-    var = (xhat * xhat).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat *= inv
+    xhat, inv = _standardize_rows(x.data)
     y = xhat * gamma.data
     y += beta.data
     sx, sg, sb = x._slot, gamma._slot, beta._slot
@@ -521,72 +538,44 @@ def layer_norm(x, gamma, beta):
         if sb is not None:
             _accumulate(sb, g.sum(axis=0), owned=True)
         if sx is not None:
-            gx = g * g_data
-            # d/dx of (x - mu) * inv with mu, inv functions of the row
-            term = gx - gx.mean(axis=1, keepdims=True)
-            term -= xhat * (gx * xhat).mean(axis=1, keepdims=True)
-            term *= inv
-            _accumulate(sx, term, owned=True)
+            _accumulate(sx, _standardize_rows_grad(g * g_data, xhat, inv), owned=True)
 
     _record(out, bwd)
     return out
 
 
-class BatchNormState:
-    """Running statistics for one batch-norm layer (part of model state)."""
+def instance_norm(x, gamma, beta):
+    """Normalize each channel of a [c, h, w] map with that map's own spatial
+    mean and biased variance, then a per-channel affine.
 
-    def __init__(self, channels):
-        self.running_mean = np.zeros(channels, dtype=np.float64)
-        self.running_var = np.ones(channels, dtype=np.float64)
-
-
-def batch_norm(x, gamma, beta, state, training):
-    """Per-channel normalization of a [c, h, w] map.
-
-    Train mode normalizes with the current map's spatial statistics and
-    updates ``state`` as running = m * running + (1 - m) * batch, m = BN_MOMENTUM
-    (biased variance throughout). Eval mode normalizes with the stored
-    running statistics. The record keeps ``xhat`` and ``inv``, not the input
-    or the output.
+    The statistics are the map's own in every call, so there is no running
+    state and no train/eval mode. The channels are the rows of the map seen
+    as [c, h*w]. The record keeps ``xhat`` and ``inv``, not the input or the
+    output.
     """
     if x.data.ndim != 3:
-        raise DimensionError("batch_norm expects [c, h, w]")
-    c = x.shape[0]
+        raise DimensionError("instance_norm expects [c, h, w]")
+    shape = x.shape
+    c = shape[0]
     if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError("batch_norm affine params must be [c]")
-    if training:
-        mu = x.data.mean(axis=(1, 2))
-        xhat = x.data - mu[:, None, None]  # centred, then scaled in place
-        var = (xhat * xhat).mean(axis=(1, 2))
-        m = BN_MOMENTUM
-        state.running_mean = m * state.running_mean + (1.0 - m) * mu
-        state.running_var = m * state.running_var + (1.0 - m) * var
-    else:
-        mu = state.running_mean
-        var = state.running_var
-        xhat = x.data - mu[:, None, None]
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat *= inv[:, None, None]
-    y = xhat * gamma.data[:, None, None]
-    y += beta.data[:, None, None]
+        raise DimensionError("instance_norm affine params must be [c]")
+    xhat, inv = _standardize_rows(x.data.reshape(c, -1))
+    y = xhat * gamma.data[:, None]
+    y += beta.data[:, None]
     sx, sg, sb = x._slot, gamma._slot, beta._slot
-    out = Tensor(y, requires_grad=sx is not None or sg is not None or sb is not None)
+    out = Tensor(y.reshape(shape),
+                 requires_grad=sx is not None or sg is not None or sb is not None)
     g_data = gamma.data if sx is not None else None  # read only for x's gradient
 
     def bwd(g):
+        g = g.reshape(c, -1)
         if sg is not None:
-            _accumulate(sg, (g * xhat).sum(axis=(1, 2)), owned=True)
+            _accumulate(sg, (g * xhat).sum(axis=1), owned=True)
         if sb is not None:
-            _accumulate(sb, g.sum(axis=(1, 2)), owned=True)
+            _accumulate(sb, g.sum(axis=1), owned=True)
         if sx is not None:
-            gx = g * g_data[:, None, None]
-            if training:
-                # batch statistics depend on x
-                term = gx - gx.mean(axis=(1, 2), keepdims=True)
-                term -= xhat * (gx * xhat).mean(axis=(1, 2), keepdims=True)
-                gx = term
-            gx *= inv[:, None, None]
-            _accumulate(sx, gx, owned=True)
+            gx = _standardize_rows_grad(g * g_data[:, None], xhat, inv)
+            _accumulate(sx, gx.reshape(shape), owned=True)
 
     _record(out, bwd)
     return out

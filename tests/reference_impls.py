@@ -58,26 +58,16 @@ def leaky_relu_backward_naive(x, g, slope=0.2):
     return out
 
 
-def batch_norm_naive(x, gamma, beta, running_mean, running_var, training,
-                     eps=1e-5, momentum=0.9):
-    """Per-channel loop over a [c, h, w] map. Train mode normalizes with the
-    channel's mean and biased variance and moves the running statistics
-    towards them; eval mode normalizes with the running statistics.
-    Returns (out, new running mean, new running var)."""
+def instance_norm_naive(x, gamma, beta, eps=1e-5):
+    """Per-channel loop over a [c, h, w] map: each channel normalized with its
+    own mean and biased variance, then scaled and shifted."""
     out = np.zeros_like(x)
-    new_mean = np.array(running_mean, dtype=np.float64)
-    new_var = np.array(running_var, dtype=np.float64)
     for ch in range(x.shape[0]):
         plane = x[ch]
-        if training:
-            mu = plane.mean()
-            var = ((plane - mu) ** 2).mean()
-            new_mean[ch] = momentum * running_mean[ch] + (1 - momentum) * mu
-            new_var[ch] = momentum * running_var[ch] + (1 - momentum) * var
-        else:
-            mu, var = running_mean[ch], running_var[ch]
+        mu = plane.mean()
+        var = ((plane - mu) ** 2).mean()
         out[ch] = gamma[ch] * (plane - mu) / np.sqrt(var + eps) + beta[ch]
-    return out, new_mean, new_var
+    return out
 
 
 def conv2d_loops(x, w, b=None, stride=1):

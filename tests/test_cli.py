@@ -225,10 +225,20 @@ class TestBadInvocations:
                 meta = dict(meta, step=step, config=dict(meta["config"], **config))
                 binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, meta)
                 dst.write(src.read())
+        # the same body behind the header of the previous format version
+        paths["v3_ck"] = d / "v3.rpck"
+        with open(paths["ck"], "rb") as src, open(paths["v3_ck"], "wb") as dst:
+            meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
+            binfile.write_header(dst, ckpt.MAGIC, 3, meta)
+            dst.write(src.read())
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
-        # the last f32 of the file belongs to the last entry, a batch-norm buffer
+        # a NaN in the first value of one parameter entry: name, u32 rank 1, u64 dim
         paths["nan_ck"] = d / "nan.rpck"
-        paths["nan_ck"].write_bytes(paths["ck"].read_bytes()[:-4] + struct.pack("<f", math.nan))
+        raw = bytearray(paths["ck"].read_bytes())
+        name = b"dec.body0.gamma"
+        at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 4 + 8
+        struct.pack_into("<f", raw, at, math.nan)
+        paths["nan_ck"].write_bytes(bytes(raw))
         return paths
 
     TRAIN = ["train", "--steps", "1", "--k", "2", "--d-model", "16", "--d-k", "8",
@@ -323,16 +333,20 @@ class TestBadInvocations:
         "verify_dataset_as_checkpoint": (["verify-ckpt", "--checkpoint", "{ds}"], "{ds}"),
         "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
         "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
+        "verify_version_3": (["verify-ckpt", "--checkpoint", "{v3_ck}"],
+                             "{v3_ck}: not an RPCK file of version 4"),
+        "render_version_3": (RENDER + ["{v3_ck}", "--dataset", "{ds}"],
+                             "{v3_ck}: not an RPCK file of version 4"),
         "verify_zero_height": (["verify-ckpt", "--checkpoint", "{h0_ck}"],
                                "{h0_ck}: height must be at least 1"),
         "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],
                               "{heads0_ck}: heads must be at least 1"),
         "verify_nan_weight": (["verify-ckpt", "--checkpoint", "{nan_ck}"],
-                              "{nan_ck}: entry 'dec.body0.running_var' holds a non-finite"),
+                              "{nan_ck}: entry 'dec.body0.gamma' holds a non-finite"),
         "render_zero_height": (RENDER + ["{h0_ck}", "--dataset", "{ds}"],
                                "{h0_ck}: height must be at least 1"),
         "render_nan_weight": (RENDER + ["{nan_ck}", "--dataset", "{ds}"],
-                              "{nan_ck}: entry 'dec.body0.running_var' holds a non-finite"),
+                              "{nan_ck}: entry 'dec.body0.gamma' holds a non-finite"),
         "render_size_mismatch": (RENDER + ["{ck}", "--dataset", "{ds16}"],
                                  "{ck} holds a 8x8 model, but {ds16} holds 16x16 views"),
     }

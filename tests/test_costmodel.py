@@ -30,7 +30,7 @@ class TestMemoryFigures:
 
 
 class TestScalingLaws:
-    @pytest.mark.parametrize("family,k", [("rp-srt", 2), ("rp-srt", 8), ("rp-osrt", 4),
+    @pytest.mark.parametrize("family,k", [("rp-srt", 2), ("rp-srt", 4), ("rp-srt", 8),
                                           ("rp-define", 4), ("rp-define", 16)])
     def test_k_squared_law_exact(self, family, k):
         base = C.CostConfig(family[3:], 128, 128)
@@ -72,12 +72,6 @@ class TestScalingLaws:
         flops = np.array([r.attn_flops_dec for r in reports])
         slope = np.polyfit(np.log(pixels), np.log(flops), 1)[0]
         assert abs(slope - 2.0) < 0.01
-
-    def test_osrt_costs_equal_srt(self):
-        a = C.make_report(C.CostConfig("srt", 128, 128, n_views=3))
-        b = C.make_report(C.CostConfig("osrt", 128, 128, n_views=3))
-        assert (a.attn_flops_enc, a.attn_flops_dec, a.peak_bytes) == \
-               (b.attn_flops_enc, b.attn_flops_dec, b.peak_bytes)
 
     def test_speedup_nondecreasing_in_k(self):
         base = C.make_report(C.CostConfig("srt", 128, 128)).attn_flops_dec

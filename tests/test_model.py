@@ -81,7 +81,7 @@ class TestForward:
         m = M.LightFieldModel(cfg, kind)
         views = scene_views()
         inputs, targets = M.scene_to_views(views)
-        z = m.encode(inputs, training=False)
+        z = m.encode(inputs)
         assert z.shape == (4, 16)
         out = m.decode(z, targets[0].intrinsics, targets[0].pose)
         assert out.shape == (4, 8, 8)
@@ -118,8 +118,8 @@ class TestForward:
             if mode == "train_step":
                 M.train_step(m, views, M.Adam(m.named_parameters(), 1e-4))
             else:
-                z = m.encode(inputs, training=True)
-                m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
+                z = m.encode(inputs)
+                m.decode(z, targets[0].intrinsics, targets[0].pose)
         decodes = 2 if mode == "train_step" else 1  # a train step decodes both targets
         analytic = full_model_flops(m.encoder.layer_spec(1) +
                                     decodes * m.decoder.layer_spec(n_kv))
@@ -183,7 +183,7 @@ class TestReusedKV:
             m, inputs, targets = self._setup()
             t = targets[0]
             T.tape_clear()
-            z = m.encode(inputs, training=False)
+            z = m.encode(inputs)
             if warm:
                 with T.no_grad():
                     m.decode(z, t.intrinsics, t.pose)
@@ -274,8 +274,8 @@ class TestGradients:
         inputs, targets = M.scene_to_views(views)
 
         def f(_leaf):
-            z = m.encode(inputs, training=True)
-            out = m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
+            z = m.encode(inputs)
+            out = m.decode(z, targets[0].intrinsics, targets[0].pose)
             total, _ = M.loss_total(out, targets[0].image, targets[0].depth)
             return total
 
@@ -311,9 +311,8 @@ class TestGradients:
         targets = views[1:]
 
         def f(leaf):
-            z = m.encode([(leaf, views[0].intrinsics, views[0].pose)],
-                         training=True)
-            out = m.decode(z, targets[0].intrinsics, targets[0].pose, training=True)
+            z = m.encode([(leaf, views[0].intrinsics, views[0].pose)])
+            out = m.decode(z, targets[0].intrinsics, targets[0].pose)
             total, _ = M.loss_total(out, targets[0].image, targets[0].depth)
             return total
 
@@ -442,7 +441,7 @@ class TestTraining:
         np.testing.assert_allclose(m, 0.1 * 0.9 * np.array([0.3, -0.2, 0.1])
                                    + 0.1 * np.array([-0.1, 0.4, 0.2]))
 
-    def test_train_step_updates_params_and_running_stats(self):
+    def test_train_step_updates_params(self):
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
         views = scene_views()
         before = {n: p.data.copy() for n, p in m.named_parameters()}
@@ -452,16 +451,34 @@ class TestTraining:
         moved = [n for n, p in m.named_parameters()
                  if not np.array_equal(before[n], p.data)]
         assert len(moved) == len(before)
-        for name, buf in m.named_buffers():
-            if name.endswith("running_mean"):
-                assert np.abs(buf).sum() > 0, name
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_no_grad_decode_is_the_trained_forward(self, kind):
+        # inference runs the forward that training fits: norm statistics other
+        # than each map's own cost the raypatch decoder up to 2.8 dB held out
+        m = M.LightFieldModel(tiny_cfg(), kind)
+        opt = M.Adam(m.named_parameters(), lr=1e-3)
+        for seed in range(4):
+            M.train_step(m, scene_views(seed=seed), opt)
+        views = scene_views(seed=9)
+        inputs, targets = M.scene_to_views(views)
+        with T.no_grad():
+            z = m.encode(inputs)
+            quiet = [m.decode(z, v.intrinsics, v.pose).data for v in targets]
+        T.tape_clear()
+        z = m.encode(inputs)
+        for v, want in zip(targets, quiet):
+            assert m.decode(z, v.intrinsics, v.pose).data.tobytes() == want.tobytes()
+        T.tape_clear()
+        # train_step scores the forward it trains on before it updates
+        psnr = 0.0
+        for v, out in zip(targets, quiet):
+            psnr += M.psnr(out[:3], v.image) / len(targets)
+        assert M.train_step(m, views, opt)["psnr"] == psnr
 
     def test_evaluate_leaves_model_alone(self):
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
         views = scene_views()
-        # settle BN running stats so eval stats are sane
-        opt = M.Adam(m.named_parameters(), lr=0.0)
-        M.train_step(m, views, opt)
         before = {n: p.data.copy() for n, p in m.named_parameters()}
         agg = M.evaluate(m, [views])
         assert set(agg) == {"loss", "psnr"}

@@ -11,8 +11,8 @@ from raypatch import tensor as T
 from raypatch.tensor import Tensor
 
 from reference_impls import (
-    batch_norm_naive,
     conv2d_loops,
+    instance_norm_naive,
     layer_norm_naive,
     leaky_relu_backward_naive,
     leaky_relu_naive,
@@ -325,11 +325,8 @@ _LIVENESS = {
                    (False, True, False), False),
     "layer_norm_of_constant": (T.layer_norm, [((3, 4), False), ((4,), True), ((4,), True)],
                                (False, False, False), False),
-    "batch_norm": (lambda x, g, b: T.batch_norm(x, g, b, T.BatchNormState(2), True),
-                   [((2, 3, 4), True), ((2,), True), ((2,), True)], (False, True, False), False),
-    "batch_norm_eval": (lambda x, g, b: T.batch_norm(x, g, b, T.BatchNormState(2), False),
-                        [((2, 3, 4), True), ((2,), True), ((2,), True)],
-                        (False, True, False), False),
+    "instance_norm": (T.instance_norm, [((2, 3, 4), True), ((2,), True), ((2,), True)],
+                      (False, True, False), False),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2),
                [((2, 5, 6), True), ((3, 2, 3, 3), True), ((3,), True)],
                (False, True, False), False),
@@ -392,8 +389,8 @@ def test_public_functions_are_pinned():
               if not name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == T.__name__}
     assert public == {
-        "absolute", "add", "backward", "batch_norm", "concat", "conv2d", "global_grad_norm",
-        "grad_check", "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul",
+        "absolute", "add", "backward", "concat", "conv2d", "global_grad_norm", "grad_check",
+        "instance_norm", "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul",
         "parameter", "reshape", "softmax_rows", "split", "sub", "sum_all", "take",
         "tape_clear", "transpose", "upsample_bilinear2x", "upsample_nearest2x"}
 
@@ -421,114 +418,61 @@ class TestUpsampling:
         assert T.grad_check(lambda t: T.sum_all(T.mul(T.upsample_bilinear2x(t), w)), x) < 1e-5
 
 
-class TestBatchNorm:
-    def test_train_mode_normalizes(self, rng):
+class TestInstanceNorm:
+    def test_normalizes(self, rng):
         x = rng.standard_normal((3, 8, 8)) * 4.0 + 2.0
-        st = T.BatchNormState(3)
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), st, training=True).data
+        out = T.instance_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3))).data
         np.testing.assert_allclose(out.mean(axis=(1, 2)), np.zeros(3), atol=1e-10)
         np.testing.assert_allclose(out.var(axis=(1, 2)), np.ones(3), atol=1e-3)
 
-    def test_running_stats_closed_form(self, rng):
-        # after t identical updates: mean_t = (1 - 0.9^t) mu, var_t = 0.9^t + (1 - 0.9^t) v
-        x = rng.standard_normal((2, 4, 4)) * 3.0 + 1.5
-        mu = x.mean(axis=(1, 2))
-        v = x.var(axis=(1, 2))
-        st = T.BatchNormState(2)
-        g, b = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        steps = 7
-        for _ in range(steps):
-            T.batch_norm(Tensor(x), g, b, st, training=True)
-        decay = 0.9 ** steps
-        np.testing.assert_allclose(st.running_mean, (1 - decay) * mu, atol=1e-12)
-        np.testing.assert_allclose(st.running_var, decay * 1.0 + (1 - decay) * v, atol=1e-12)
-
-    def test_eval_after_constant_batch_is_affine(self, rng):
-        # train long enough on one batch and eval reproduces the train output
-        x = rng.standard_normal((2, 5, 5))
-        st = T.BatchNormState(2)
-        g, b = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        for _ in range(400):
-            train_out = T.batch_norm(Tensor(x), g, b, st, training=True).data
-        eval_out = T.batch_norm(Tensor(x), g, b, st, training=False).data
-        np.testing.assert_allclose(eval_out, train_out, atol=1e-7)
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_grads(self, rng, training):
+    def test_grads(self, rng):
         x = leaf(rng, 2, 3, 4)
         gamma = leaf(rng, 2)
         beta = leaf(rng, 2)
         w = Tensor(rng.standard_normal((2, 3, 4)))
 
         def f(t, which):
-            st = T.BatchNormState(2)  # fresh state: keep eval stats fixed at (0, 1)
             args = {"x": x, "g": gamma, "b": beta}
             args[which] = t
-            out = T.batch_norm(args["x"], args["g"], args["b"], st, training=training)
+            out = T.instance_norm(args["x"], args["g"], args["b"])
             return T.sum_all(T.mul(out, w))
 
         assert T.grad_check(lambda t: f(t, "x"), x) < 1e-5
         assert T.grad_check(lambda t: f(t, "g"), gamma) < 1e-5
         assert T.grad_check(lambda t: f(t, "b"), beta) < 1e-5
 
-    @staticmethod
-    def _state(rng, channels):
-        st = T.BatchNormState(channels)
-        st.running_mean = rng.standard_normal(channels)
-        st.running_var = rng.uniform(0.5, 2.0, channels)
-        return st
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_against_naive(self, rng, training):
+    def test_against_naive(self, rng):
         x = rng.standard_normal((3, 5, 6)) * 2.0 + 1.0
         gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
-        st = self._state(rng, 3)
-        want, mean, var = batch_norm_naive(x, gamma, beta, st.running_mean, st.running_var,
-                                           training)
-        got = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), st, training).data
-        np.testing.assert_allclose(got, want, atol=1e-12)
-        np.testing.assert_allclose(st.running_mean, mean, atol=1e-12)
-        np.testing.assert_allclose(st.running_var, var, atol=1e-12)
+        got = T.instance_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        np.testing.assert_allclose(got, instance_norm_naive(x, gamma, beta), atol=1e-12)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_grads_against_naive(self, rng, training):
+    def test_grads_against_naive(self, rng):
         args = [rng.standard_normal((2, 3, 4)), rng.standard_normal(2), rng.standard_normal(2)]
         w = rng.standard_normal((2, 3, 4))
-        st = self._state(rng, 2)
-        stats = (st.running_mean.copy(), st.running_var.copy())
-        _, grads = weighted_sum_grads(
-            lambda x, g, b: T.batch_norm(x, g, b, st, training), args, w)
+        _, grads = weighted_sum_grads(T.instance_norm, args, w)
         for i, got in enumerate(grads):
             def loss(a, i=i):
-                out, _, _ = batch_norm_naive(*args[:i], a, *args[i + 1:], *stats, training)
-                return float((w * out).sum())
+                return float((w * instance_norm_naive(*args[:i], a, *args[i + 1:])).sum())
             np.testing.assert_allclose(got, finite_difference(loss, args[i]), atol=1e-7)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_bit_equal_to_the_out_of_place_formula(self, rng, training):
+    def test_bit_equal_to_the_out_of_place_formula(self, rng):
+        # the per-channel formula over axes (1, 2) of [c, h, w]; the op runs
+        # layer_norm's row core on [c, h*w] and must match it bit for bit
         x = rng.standard_normal((8, 16, 16)) * 2.0 + 0.5
         gamma, beta = rng.standard_normal(8), rng.standard_normal(8)
         g = rng.standard_normal(x.shape)
-        st = self._state(rng, 8)
-        mu, var = st.running_mean.copy(), st.running_var.copy()
-        y, (gx, _, _) = weighted_sum_grads(
-            lambda a, b, c: T.batch_norm(a, b, c, st, training), [x, gamma, beta], g)
-        if training:
-            mu = x.mean(axis=(1, 2))
-            xc = x - mu[:, None, None]
-            var = (xc * xc).mean(axis=(1, 2))
-        else:
-            xc = x - mu[:, None, None]
+        y, (gx, _, _) = weighted_sum_grads(T.instance_norm, [x, gamma, beta], g)
+        mu = x.mean(axis=(1, 2))
+        xc = x - mu[:, None, None]
+        var = (xc * xc).mean(axis=(1, 2))
         inv = 1.0 / np.sqrt(var + 1e-5)
         xhat = xc * inv[:, None, None]
         assert_same_bits(y, xhat * gamma[:, None, None] + beta[:, None, None])
         gxg = g * gamma[:, None, None]
-        if training:
-            term = gxg - gxg.mean(axis=(1, 2), keepdims=True) \
-                - xhat * (gxg * xhat).mean(axis=(1, 2), keepdims=True)
-            assert_same_bits(gx, term * inv[:, None, None])
-        else:
-            assert_same_bits(gx, gxg * inv[:, None, None])
+        term = gxg - gxg.mean(axis=(1, 2), keepdims=True) \
+            - xhat * (gxg * xhat).mean(axis=(1, 2), keepdims=True)
+        assert_same_bits(gx, term * inv[:, None, None])
 
 
 class TestElementwise:
