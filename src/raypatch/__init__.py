@@ -4,14 +4,12 @@ The package splits into: ``tensor`` (reverse-mode autodiff over float64
 arrays), ``geometry`` (cameras, rays, patch grids, query encodings),
 ``blocks`` (attention building blocks), ``model`` (encoder and the two
 decoder variants), ``datasynth`` (procedural scenes and dataset files),
-``costmodel`` (closed-form attention FLOPs and memory), ``flops``
+``costmodel`` (the per-layer FLOP vocabulary of ``layer_spec``), ``flops``
 (instrumented counters), ``checkpoint`` (snapshots), ``cli`` (front end).
 """
 
-from .costmodel import CostConfig, make_report
 from .model import LightFieldModel, ModelConfig
 
 __version__ = "0.1.0"
 
-__all__ = ["CostConfig", "LightFieldModel", "ModelConfig", "make_report",
-           "__version__"]
+__all__ = ["LightFieldModel", "ModelConfig", "__version__"]

@@ -2,11 +2,10 @@
 
 Subcommands:
 
-    cost         analytic attention FLOPs and peak memory, tables or CSV
+    cost         per-stage FLOPs and peak logit bytes of the model's layer specs
     dataset      render a procedural multi-view dataset to a file
     train        fit a model on a dataset, log progress, save a checkpoint
     render       decode one view from a checkpoint to PPM (+ 16-bit PGM depth)
-    gradcheck    run the finite-difference gradient battery
     verify-ckpt  checkpoint byte-stability and name audit
 
 Speed is measured by the benchmark, ``perfbench/run.py``, not by a subcommand.
@@ -31,7 +30,6 @@ from . import costmodel as cm
 from . import datasynth as ds
 from . import model as M
 from . import tensor as T
-from .blocks import AttnBlock, FeedForward, MhaConfig, MultiHeadAttention
 from .geometry import GridError
 
 EXIT_OK = 0
@@ -68,129 +66,6 @@ def write_pgm16(path, depth):
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode())
         fh.write(mm.astype(">u2").tobytes())
-
-
-# ---------------------------------------------------------------------------
-# gradient battery (the gradcheck subcommand and the acceptance run share it)
-# ---------------------------------------------------------------------------
-
-OP_TOL = 1e-5
-MODEL_TOL = 1e-4
-
-
-def _op_cases(rng):
-    """(name, f, leaf) triples where f(leaf) is a scalar through one op."""
-    w = T.Tensor(rng.standard_normal((6, 4)))
-    bias = T.Tensor(rng.standard_normal(4))
-    conv_w = T.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3)
-    gamma = T.Tensor(rng.uniform(0.5, 1.5, 8))
-    beta = T.Tensor(rng.standard_normal(8))
-    in_gamma, in_beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
-    idx = rng.permutation(24)[:7]
-    # probes turn row-normalized outputs into informative scalars; every one
-    # must be drawn up front or finite differencing sees a moving target
-    probe_sm = T.Tensor(rng.standard_normal((4, 5)))
-    probe_ln = T.Tensor(rng.standard_normal((3, 8)))
-    probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
-    # rows added later draw from a child generator, so every older row keeps
-    # the inputs that rng's stream gave it
-    late = rng.spawn(1)[0]
-    probe_mm = T.Tensor(late.standard_normal((5, 4)))
-
-    return [
-        ("matmul", lambda x: T.sum_all(T.matmul(x, w)),
-         T.Tensor(rng.standard_normal((5, 6)))),
-        ("matmul_scaled", lambda x: T.sum_all(T.mul(T.matmul(x, w, scale=0.4), probe_mm)),
-         T.Tensor(late.standard_normal((5, 6)))),
-        ("linear", lambda x: T.sum_all(T.linear(x, w, bias)),
-         T.Tensor(rng.standard_normal((3, 6)))),
-        ("softmax", lambda x: T.sum_all(T.mul(T.softmax_rows(x), probe_sm)),
-         T.Tensor(rng.standard_normal((4, 5)))),
-        ("layer_norm", lambda x: T.sum_all(T.mul(T.layer_norm(x, gamma, beta),
-                                                 probe_ln)),
-         T.Tensor(rng.standard_normal((3, 8)))),
-        ("conv2d_s1", lambda x: T.sum_all(T.conv2d(x, conv_w)),
-         T.Tensor(rng.standard_normal((2, 5, 6)))),
-        ("conv2d_s2", lambda x: T.sum_all(T.conv2d(x, conv_w, stride=2)),
-         T.Tensor(rng.standard_normal((2, 6, 6)))),
-        ("instance_norm", lambda x: T.sum_all(T.mul(
-            T.instance_norm(x, in_gamma, in_beta), probe_in)),
-         T.Tensor(rng.standard_normal((2, 4, 4)))),
-        ("leaky_relu", lambda x: T.sum_all(T.leaky_relu(x)),
-         T.Tensor(rng.standard_normal(40) + 0.05)),
-        ("absolute", lambda x: T.sum_all(T.absolute(x)),
-         T.Tensor(rng.standard_normal(12) + 0.3)),
-        ("take", lambda x: T.sum_all(T.take(x, idx)),
-         T.Tensor(rng.standard_normal((4, 6)))),
-        ("bilinear2x", lambda x: T.sum_all(T.upsample_bilinear2x(x)),
-         T.Tensor(rng.standard_normal((2, 3, 4)))),
-        ("nearest2x", lambda x: T.sum_all(T.upsample_nearest2x(x)),
-         T.Tensor(rng.standard_normal((2, 3, 4)))),
-    ]
-
-
-def _block_cases(rng):
-    cfg = MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
-    mha = MultiHeadAttention(cfg, rng)
-    block = AttnBlock(cfg, rng)
-    ff = FeedForward(rng, 8)
-    kv = T.Tensor(rng.standard_normal((6, 8)))
-    probe = T.Tensor(rng.standard_normal((5, 8)))
-
-    return [
-        ("mha_cross", lambda x: T.sum_all(T.mul(mha(x, kv), probe)),
-         T.Tensor(rng.standard_normal((5, 8)))),
-        ("attn_block_self", lambda x: T.sum_all(T.mul(block(x), probe)),
-         T.Tensor(rng.standard_normal((5, 8)))),
-        ("attn_block_cross", lambda x: T.sum_all(T.mul(block(x, kv), probe)),
-         T.Tensor(rng.standard_normal((5, 8)))),
-        ("feed_forward", lambda x: T.sum_all(T.mul(ff(x), probe)),
-         T.Tensor(rng.standard_normal((5, 8)))),
-    ]
-
-
-def _model_cases(rng, seed):
-    cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
-                        n_freq_origin=2, n_freq_dir=2, feature_channels=8,
-                        downsamplings=2, seed=seed)
-    views = ds.render_scene_views(ds.generate_scene(seed), 8, 8)
-    target = views[1]
-
-    cases = []
-    for kind in ("raypatch", "pixel"):
-        model = M.LightFieldModel(cfg, kind)
-        named = dict(model.named_parameters())
-
-        def loss_given(image, model=model):
-            z = model.encode([(image, views[0].intrinsics, views[0].pose)])
-            out = model.decode(z, target.intrinsics, target.pose)
-            total, _ = M.loss_total(out, target.image, target.depth)
-            return total
-
-        def loss_fixed(_leaf, loss_given=loss_given):
-            # the leaf under test lives inside the model; the input stays put
-            return loss_given(views[0].image)
-
-        cases.append((f"{kind}_input_image", loss_given,
-                      T.parameter(views[0].image.astype(np.float64))))
-        cases.append((f"{kind}_embed_bias", loss_fixed, named["dec.embed.b"]))
-        head = "dec.final.b" if kind == "raypatch" else "dec.head2.b"
-        cases.append((f"{kind}_head_bias", loss_fixed, named[head]))
-        cases.append((f"{kind}_ln_gamma", loss_fixed, named["enc.block0.ln1.gamma"]))
-    return cases
-
-
-def gradcheck_battery(seed):
-    """All gradient comparisons for one seed: (category, name, rel_err, tol) rows."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for name, f, leaf in _op_cases(rng):
-        rows.append(("op", name, T.grad_check(f, leaf, step=1e-5), OP_TOL))
-    for name, f, leaf in _block_cases(rng):
-        rows.append(("block", name, T.grad_check(f, leaf, step=1e-5), MODEL_TOL))
-    for name, f, leaf in _model_cases(rng, seed):
-        rows.append(("model", name, T.grad_check(f, leaf, step=1e-5), MODEL_TOL))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +128,48 @@ def _sweep_values(sweep, text):
     return values
 
 
+COST_STAGES = ("encoder_conv", "encoder_attn", "decoder_attn", "decoder_cnn")
+COST_CSV_HEADER = ("decoder,views,h,w,k,heads,d_k,n_q_dec,n_kv_dec,encoder_conv_flops,"
+                   "encoder_attn_flops,decoder_attn_flops,decoder_cnn_flops,"
+                   "decoder_peak_logit_bytes")
+
+
+def price_model(cfg, decoder, n_views):
+    """(decoder queries, n_kv, FLOPs per stage, decoder peak logit bytes) of one
+    encode of ``n_views`` views and one decode, from the model's layer specs."""
+    model = M.LightFieldModel(cfg, decoder)
+    n_kv = n_views * cfg.tokens_per_view()
+    dec_spec = model.decoder.layer_spec(n_kv)
+    stages = M.stage_flops(model.encoder.layer_spec(n_views), dec_spec)
+    products = [layer for layer in dec_spec if isinstance(layer, cm.AttnProductCost)]
+    # softmax_rows is handed one float64 [n_q, n_kv] logit matrix per head
+    peak = max(8 * p.n_q * p.n_kv for p in products)
+    return products[0].n_q, n_kv, stages, peak
+
+
 def cmd_cost(args):
-    cfg = cm.CostConfig(family=args.family, height=args.height, width=args.width,
-                        n_views=args.views, k=args.k, heads=args.heads, d_k=args.d_k,
-                        n_latent=args.latents, downsamplings=args.downsamplings,
-                        bytes_per_element=args.bytes_per_element)
+    if args.views < 1:
+        raise ValueError(f"--views must be at least 1, got {args.views}")
+    base = dict(_model_overrides(args), height=args.height, width=args.width)
+    points = [{}]
     if args.sweep:
         if not args.values:
             raise ValueError(f"--sweep {args.sweep} needs --values")
-        reports = cm.sweep(cfg, args.sweep, _sweep_values(args.sweep, args.values))
-    else:
-        reports = [cm.make_report(cfg)]
+        values = _sweep_values(args.sweep, args.values)
+        points = ([{"height": h, "width": w} for h, w in values] if args.sweep == "resolution"
+                  else [{args.sweep: v} for v in values])
+    rows = []
+    for point in points:
+        cfg = M.ModelConfig(**{**base, **point})
+        rows.append((cfg, *price_model(cfg, args.decoder, args.views)))
 
     if args.csv:
-        text = cm.reports_to_csv(reports)
+        lines = [COST_CSV_HEADER] + [
+            f"{args.decoder},{args.views},{cfg.height},{cfg.width},{cfg.k},{cfg.heads},"
+            f"{cfg.d_k},{n_q},{n_kv},"
+            + ",".join(repr(stages.get(s, 0.0)) for s in COST_STAGES) + f",{peak}"
+            for cfg, n_q, n_kv, stages, peak in rows]
+        text = "\n".join(lines) + "\n"
         if args.csv == "-":
             sys.stdout.write(text)
         else:
@@ -275,12 +178,10 @@ def cmd_cost(args):
             print(f"wrote {args.csv}")
         return EXIT_OK
 
-    for r in reports:
-        gib = r.peak_bytes / 2 ** 30
-        print(f"{r.family:<12} {r.height}x{r.width} k={r.k:<3} "
-              f"queries={r.n_q_dec:<8} kv={r.n_kv_dec:<7} "
-              f"dec_attn={r.attn_flops_dec / 1e9:10.3f} GFLOP  "
-              f"peak={gib:10.4f} GiB")
+    for cfg, n_q, n_kv, stages, peak in rows:
+        gflop = "  ".join(f"{s}={stages.get(s, 0.0) / 1e9:.3f}" for s in COST_STAGES)
+        print(f"{args.decoder:<8} {cfg.height}x{cfg.width} k={cfg.k:<3} queries={n_q:<8} "
+              f"kv={n_kv:<7} GFLOP {gflop}  peak logit={peak / 2 ** 30:.4f} GiB")
     return EXIT_OK
 
 
@@ -314,9 +215,8 @@ def _check_output_paths(*flag_paths):
 
 def cmd_train(args):
     _check_output_paths(("--log", args.log), ("--checkpoint", args.checkpoint))
-    overrides = {field: getattr(args, field) for field in _model_fields() if field in args}
     model, held, rows = run_training(args.dataset, args.decoder, args.steps, args.lr,
-                                     args.log_every, **overrides)
+                                     args.log_every, **_model_overrides(args))
     for row in rows[1:]:
         print(row)
     print(f"held-out: psnr {held['psnr']:.2f} dB, loss {held['loss']:.4f}")
@@ -363,30 +263,6 @@ def cmd_render(args):
     return EXIT_OK
 
 
-def cmd_gradcheck(args):
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    worst = {}
-    failed = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        for cat, name, err, tol in gradcheck_battery(seed):
-            key = (cat, name)
-            worst[key] = max(worst.get(key, 0.0), err)
-            if err > tol:
-                failed.append((seed, cat, name, err, tol))
-    for (cat, name), err in sorted(worst.items()):
-        tol = OP_TOL if cat == "op" else MODEL_TOL
-        status = "ok" if err <= tol else "FAIL"
-        print(f"{status:<5} {cat:<6} {name:<22} worst rel err {err:.3e} (tol {tol:.0e})")
-    if failed:
-        print(f"{len(failed)} gradient checks failed", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"all gradients agree over {args.seeds} seed(s)")
-    return EXIT_OK
-
-
 def cmd_verify_ckpt(args):
     model, meta = ckpt.load_checkpoint(args.checkpoint)
     n_params = sum(p.data.size for _, p in model.named_parameters())
@@ -409,8 +285,22 @@ def cmd_verify_ckpt(args):
 # ---------------------------------------------------------------------------
 
 def _model_fields():
-    """The ModelConfig fields that train flags set; the dataset sets height and width."""
+    """The ModelConfig fields that model flags set; height and width come from
+    the dataset (train) or their own flags (cost)."""
     return [f.name for f in dataclasses.fields(M.ModelConfig) if f.name not in ("height", "width")]
+
+
+def _add_model_flags(p):
+    """One flag per model field. A flag left out stays absent from the parsed
+    arguments, so ModelConfig holds the only copy of each default."""
+    for field in _model_fields():
+        p.add_argument("--" + field.removeprefix("n_").replace("_", "-"), dest=field, type=int,
+                       default=argparse.SUPPRESS)
+
+
+def _model_overrides(args):
+    """The model fields that flags set, for ModelConfig."""
+    return {field: getattr(args, field) for field in _model_fields() if field in args}
 
 
 def build_parser():
@@ -418,18 +308,13 @@ def build_parser():
                                      description="patch-ray light field toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cost", help="analytic attention cost model")
-    p.add_argument("--family", default="srt", choices=sorted(cm.FAMILIES))
+    p = sub.add_parser("cost", help="FLOPs per stage and peak logit bytes of a model")
+    p.add_argument("--decoder", choices=sorted(M.DECODERS), default="raypatch")
     p.add_argument("--height", type=int, default=960)
     p.add_argument("--width", type=int, default=1280)
-    p.add_argument("--views", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--d-k", type=int, default=64)
-    p.add_argument("--latents", type=int, default=2048)
-    p.add_argument("--downsamplings", type=int, default=3)
-    p.add_argument("--bytes-per-element", type=int, default=4)
-    p.add_argument("--sweep", choices=["resolution", "k", "heads", "d_k", "n_latent"])
+    p.add_argument("--views", type=int, default=1, help="encoder input views")
+    _add_model_flags(p)
+    p.add_argument("--sweep", choices=["resolution", "k", "heads", "d_k"])
     p.add_argument("--values", help="comma list; HxW pairs for --sweep resolution")
     p.add_argument("--csv", help="write CSV here ('-' for stdout)")
     p.set_defaults(fn=cmd_cost)
@@ -450,9 +335,7 @@ def build_parser():
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--log", help="write the training CSV here")
     p.add_argument("--checkpoint", help="write the final model here")
-    for field in _model_fields():  # a flag left out stays absent: ModelConfig has the default
-        p.add_argument("--" + field.removeprefix("n_").replace("_", "-"), dest=field, type=int,
-                       default=argparse.SUPPRESS)
+    _add_model_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("render", help="decode one view from a checkpoint")
@@ -465,11 +348,6 @@ def build_parser():
     p.add_argument("--target", action="store_true",
                    help="write the ground-truth view instead of the prediction")
     p.set_defaults(fn=cmd_render)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
-    p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("verify-ckpt", help="checkpoint integrity check")
     p.add_argument("--checkpoint", required=True)
@@ -485,8 +363,7 @@ def main(argv=None):
     except T.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (cm.CostConfigError, M.ModelConfigError, GridError, T.DimensionError,
-            ValueError, OSError) as exc:
+    except (M.ModelConfigError, GridError, T.DimensionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -12,8 +12,10 @@ where the two variants differ:
   Attention cost and peak attention memory drop by exactly k^2.
 
 The encoder and each decoder answer ``layer_spec()`` with the cost-model
-layer list that mirrors their executed tensor ops one for one, so the
-instrumented FLOP counter and the analytic model can be compared directly.
+layer list that mirrors their executed tensor ops one for one, and
+``stage_flops`` sums those lists into the ``flops.stage`` names the forward
+code runs under, so the instrumented FLOP counter and the layer specs can be
+compared stage by stage.
 
 Without gradient recording, each decoder block's attention keeps the keys
 and values of the last token tensor it was given and reuses them for every
@@ -33,6 +35,7 @@ from .blocks import AttnBlock, Linear, MhaConfig, uniform_init
 from .costmodel import (
     ConvCost,
     LinearCost,
+    UpsampleCost,
     attention_block_cost,
     kv_projection_cost,
     upsampling_cnn_cost,
@@ -355,6 +358,25 @@ class LightFieldModel:
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()
+
+
+def stage_flops(enc_spec, dec_spec):
+    """FLOPs per ``flops.stage`` of the encode and decode that ``enc_spec`` and
+    ``dec_spec`` price.
+
+    Convolutions and upsamplings run in ``encoder_conv`` and ``decoder_cnn``;
+    every other layer (projections, attention products, feed-forward, the
+    query embedding and the heads) in ``encoder_attn`` and ``decoder_attn``.
+    A stage without layers is left out, as ``flops.FlopCounter.by_stage``
+    leaves out a stage that counted nothing.
+    """
+    stages = {}
+    for spec, conv, attn in ((enc_spec, "encoder_conv", "encoder_attn"),
+                             (dec_spec, "decoder_cnn", "decoder_attn")):
+        for layer in spec:
+            name = conv if isinstance(layer, (ConvCost, UpsampleCost)) else attn
+            stages[name] = stages.get(name, 0.0) + layer.flops()
+    return stages
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Design:
   * one tape per training step: ``backward`` pops each record as it runs it,
     so a record's closure, the forward arrays only it holds and the output's
     gradient are freed as the sweep passes them; afterwards only leaves
-    (parameters, ``grad_check`` inputs) hold a ``.grad``;
+    (parameters, and tensors a caller marked ``requires_grad``) hold a ``.grad``;
   * gradients are handed over, not copied, by one rule: an op passes
     ``owned=True`` to ``_accumulate`` only for an array it just allocated
     and gives to exactly one input. Views (``reshape``, ``concat``,
@@ -323,13 +323,6 @@ def absolute(x):
     out = Tensor(np.abs(x.data), requires_grad=sx is not None)
     sign = np.sign(x.data)
     _record(out, lambda g: _accumulate(sx, g * sign, owned=True))
-    return out
-
-
-def sum_all(x):
-    sx, shape = x._slot, x.shape
-    out = Tensor(x.data.sum(), requires_grad=sx is not None)
-    _record(out, lambda g: _accumulate(sx, np.full(shape, float(g)), owned=True))
     return out
 
 
@@ -706,47 +699,6 @@ def upsample_bilinear2x(x):
 
     _record(out, bwd)
     return out
-
-
-# --------------------------------------------------------------------------
-# gradient checking
-# --------------------------------------------------------------------------
-
-def grad_check(f, x, step=1e-6):
-    """Compare autodiff and central finite-difference gradients of ``f`` at ``x``.
-
-    ``f`` must map the leaf tensor ``x`` to a scalar Tensor. Returns the worst
-    relative error max_i |g_ad[i] - g_fd[i]| / max(1, |g_fd[i]|).
-    """
-    if not (1e-7 <= step <= 1e-4):
-        raise ValueError(f"grad_check step {step} outside [1e-7, 1e-4]")
-    if not isinstance(x, Tensor):
-        raise TypeError("grad_check differentiates w.r.t. a Tensor leaf")
-    x.requires_grad = True
-    x.grad = None
-    tape_clear()
-    y = f(x)
-    if y.shape != ():
-        raise DimensionError("grad_check target must return a scalar")
-    backward(y)
-    if x.grad is None:
-        raise RuntimeError("f(x) does not depend on x")
-    g_ad = x.grad.reshape(-1).copy()
-    x.grad = None
-
-    flat = x.data.reshape(-1)
-    g_fd = np.empty_like(g_ad)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            y_hi = float(f(x).data)
-            flat[i] = orig - step
-            y_lo = float(f(x).data)
-            flat[i] = orig
-            g_fd[i] = (y_hi - y_lo) / (2.0 * step)
-    err = np.abs(g_ad - g_fd) / np.maximum(1.0, np.abs(g_fd))
-    return float(err.max())
 
 
 def global_grad_norm(params):

@@ -7,6 +7,7 @@ functions define what the fast implementations are checked against.
 
 import numpy as np
 
+from raypatch import tensor as T
 from raypatch.costmodel import ConvCost, LinearCost, attention_block_cost, upsampling_cnn_cost
 
 
@@ -290,3 +291,46 @@ def reference_define_layers(height, width, k=1, n_views=2, in_h=128, in_w=192):
     else:
         layers.append(LinearCost(n_q, p["d_model"], 4))     # rgb-d head
     return layers
+
+
+def sum_all(x):
+    """Sum of every element of ``x`` as a scalar tensor, from public ops: the
+    scalar that a gradient check or a test's backward starts from."""
+    return T.mul(T.mean_all(x), float(x.size))
+
+
+def grad_check(f, x, step=1e-6):
+    """Compare autodiff and central finite-difference gradients of ``f`` at ``x``.
+
+    ``f`` must map the leaf tensor ``x`` to a scalar Tensor. Returns the worst
+    relative error max_i |g_ad[i] - g_fd[i]| / max(1, |g_fd[i]|).
+    """
+    if not (1e-7 <= step <= 1e-4):
+        raise ValueError(f"grad_check step {step} outside [1e-7, 1e-4]")
+    if not isinstance(x, T.Tensor):
+        raise TypeError("grad_check differentiates w.r.t. a Tensor leaf")
+    x.requires_grad = True
+    x.grad = None
+    T.tape_clear()
+    y = f(x)
+    if y.shape != ():
+        raise T.DimensionError("grad_check target must return a scalar")
+    T.backward(y)
+    if x.grad is None:
+        raise RuntimeError("f(x) does not depend on x")
+    g_ad = x.grad.reshape(-1).copy()
+    x.grad = None
+
+    flat = x.data.reshape(-1)
+    g_fd = np.empty_like(g_ad)
+    with T.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            y_hi = float(f(x).data)
+            flat[i] = orig - step
+            y_lo = float(f(x).data)
+            flat[i] = orig
+            g_fd[i] = (y_hi - y_lo) / (2.0 * step)
+    err = np.abs(g_ad - g_fd) / np.maximum(1.0, np.abs(g_fd))
+    return float(err.max())

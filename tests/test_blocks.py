@@ -9,7 +9,7 @@ from raypatch import tensor as T
 from raypatch.costmodel import full_model_flops, kv_projection_cost
 from raypatch.tensor import Tensor
 
-from reference_impls import attention_single_head_naive
+from reference_impls import attention_single_head_naive, grad_check, sum_all
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ class TestKeptKV:
             first, full = self._counted(mha, xq, xkv)
         T.tape_clear()
         out, recorded = self._counted(mha, xq, xkv)
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert recorded == full
         np.testing.assert_array_equal(out.data, first.data)
         for lin in (mha.k_proj, mha.v_proj):
@@ -216,7 +216,7 @@ class TestAttnBlock:
         x = T.parameter(rng.standard_normal((5, 8)))
         z = Tensor(rng.standard_normal((6, 8)))
         w = Tensor(rng.standard_normal((5, 8)))
-        assert T.grad_check(lambda t: T.sum_all(T.mul(block(t, z), w)), x) < 1e-4
+        assert grad_check(lambda t: sum_all(T.mul(block(t, z), w)), x) < 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_self_attention_grad_check(self, seed):
@@ -226,7 +226,7 @@ class TestAttnBlock:
         block = B.AttnBlock(cfg, rng)
         x = T.parameter(rng.standard_normal((5, 8)))
         w = Tensor(rng.standard_normal((5, 8)))
-        assert T.grad_check(lambda t: T.sum_all(T.mul(block(t), w)), x) < 1e-4
+        assert grad_check(lambda t: sum_all(T.mul(block(t), w)), x) < 1e-4
 
     def test_grad_reaches_every_param(self, rng):
         block = B.AttnBlock(CFG, rng)
@@ -244,4 +244,4 @@ class TestAttnBlock:
         x = Tensor(rng.standard_normal((4, 8)))
         w = Tensor(rng.standard_normal((4, 8)))
         target = block.mha.q_proj.w
-        assert T.grad_check(lambda t: T.sum_all(T.mul(block(x), w)), target) < 1e-4
+        assert grad_check(lambda t: sum_all(T.mul(block(x), w)), target) < 1e-4

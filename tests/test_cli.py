@@ -15,7 +15,6 @@ from raypatch import checkpoint as ckpt
 from raypatch import cli
 from raypatch import datasynth as ds
 from raypatch import model as M
-from raypatch.costmodel import CSV_HEADER
 
 
 class TestImageWriters:
@@ -46,35 +45,32 @@ class TestImageWriters:
 
 class TestCostCommand:
     def test_table_output(self, capsys):
-        assert cli.main(["cost", "--family", "define", "--height", "960",
-                         "--width", "1280", "--views", "5"]) == cli.EXIT_OK
+        assert cli.main(["cost", "--decoder", "pixel", "--heads", "8", "--d-k", "64",
+                         "--d-v", "64", "--downsamplings", "3"]) == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert "75.0000 GiB" in out
+        assert out.startswith("pixel    960x1280 k=4   queries=1228800  kv=19200 ")
+        assert "decoder_cnn=0.000" in out
+        assert "peak logit=175.7812 GiB" in out  # 8 bytes * 1228800 * 19200
 
     def test_csv_file(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
-        code = cli.main(["cost", "--family", "rp-define", "--height", "960",
-                         "--width", "1280", "--views", "5", "--sweep", "k",
-                         "--values", "1,8,16", "--csv", str(path)])
-        assert code == cli.EXIT_OK
-        lines = path.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 4
-        assert lines[3].endswith("314572800.0")  # k=16 peak bytes, full precision
+        argv = ["cost", "--views", "5", "--sweep", "resolution", "--values", "64x64,96x128",
+                "--csv"]
+        assert cli.main(argv + [str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert cli.main(argv + ["-"]) == cli.EXIT_OK
+        assert path.read_text() == capsys.readouterr().out
+        assert [line.split(",")[:4] for line in path.read_text().splitlines()[1:]] == [
+            ["raypatch", "5", "64", "64"], ["raypatch", "5", "96", "128"]]
 
-    def test_unknown_family_exits_2(self):
+    def test_unknown_decoder_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["cost", "--family", "nerf"])
+            cli.main(["cost", "--decoder", "nerf"])
         assert exc.value.code == cli.EXIT_BAD_ARGS
 
     def test_seed_variable_in_the_environment_is_not_read(self, monkeypatch, capsys):
         monkeypatch.setenv("RAYPATCH_SEED", "abc")
         assert cli.main(["cost"]) == cli.EXIT_OK
-
-    def test_bad_k_exits_2(self, capsys):
-        code = cli.main(["cost", "--family", "rp-srt", "--height", "96",
-                         "--width", "96", "--k", "3"])
-        assert code == cli.EXIT_BAD_ARGS
 
 
 class TestPipeline:
@@ -154,14 +150,6 @@ class TestPipeline:
         assert code == cli.EXIT_BAD_ARGS
 
 
-class TestGradcheckCommand:
-    def test_passes_and_prints_table(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "11"]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "all gradients agree" in out
-        assert "matmul" in out and "raypatch_input_image" in out
-
-
 def test_readme_table_lists_exactly_the_subcommands():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     table = text.split("## Subcommands", 1)[1].split("\n## ", 1)[0]
@@ -171,14 +159,19 @@ def test_readme_table_lists_exactly_the_subcommands():
     assert sorted(listed) == sorted(sub.choices)
 
 
-def test_train_model_flags_are_the_config_fields_without_defaults():
+RUN_FLAGS = {"train": {"dataset", "decoder", "steps", "lr", "log_every", "log", "checkpoint"},
+             "cost": {"decoder", "height", "width", "views", "sweep", "values", "csv"}}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_FLAGS))
+def test_model_flags_are_the_config_fields_without_defaults(command):
     """ModelConfig holds the only copy of each model default: every field but
-    height and width (the dataset's) has a train flag of that dest, which stays
-    absent unless given."""
+    height and width (train: the dataset's; cost: their own flags) has a flag
+    of that dest, which stays absent unless given."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    run_flags = {"help", "dataset", "decoder", "steps", "lr", "log_every", "log", "checkpoint"}
-    model_flags = [a for a in sub.choices["train"]._actions if a.dest not in run_flags]
+    model_flags = [a for a in sub.choices[command]._actions
+                   if a.dest not in RUN_FLAGS[command] | {"help"}]
     fields = {f.name for f in dataclasses.fields(M.ModelConfig)} - {"height", "width"}
     assert sorted(a.dest for a in model_flags) == sorted(fields)
     assert [a.dest for a in model_flags if a.default is not argparse.SUPPRESS] == []
@@ -252,7 +245,9 @@ class TestBadInvocations:
         "cost_negative_heads": (["cost", "--heads", "-1", "--csv", "-"], "heads"),
         "cost_zero_heads": (["cost", "--heads", "0"], "heads"),
         "cost_negative_d_k": (["cost", "--d-k", "-5"], "d_k"),
-        "cost_zero_latents": (["cost", "--family", "define", "--latents", "0"], "n_latent"),
+        "cost_zero_views": (["cost", "--views", "0"], "--views must be at least 1, got 0"),
+        "cost_k_not_a_power_of_two": (["cost", "--height", "96", "--width", "96", "--k", "3"],
+                                      "patch size must be a power of two, got 3"),
         "cost_sweep_zero_heads": (["cost", "--sweep", "heads", "--values", "0"], "heads"),
         "cost_resolution_without_x": (["cost", "--sweep", "resolution", "--values", "64x64,32"],
                                       "--values item '32' is not an HxW pair"),
@@ -260,9 +255,6 @@ class TestBadInvocations:
                                        "--values item '32x32x2' is not an HxW pair"),
         "cost_k_not_a_number": (["cost", "--sweep", "k", "--values", "2,a"],
                                 "--values item 'a' is not an integer"),
-        "gradcheck_zero_seeds": (["gradcheck", "--seeds", "0"], "--seeds"),
-        "gradcheck_negative_seeds": (["gradcheck", "--seeds", "-2"], "--seeds"),
-        "gradcheck_negative_seed": (["gradcheck", "--seed", "-1"], "--seed "),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
                                     "--scenes must be at least 1, got -1"),
         "dataset_zero_scenes": (["dataset", "--out", "{x}", "--scenes", "0"],

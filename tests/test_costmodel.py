@@ -1,134 +1,156 @@
-"""Closed-form cost model: published values, scaling laws, CSV output."""
+"""Costs priced from the executed model's layer specs: stage FLOPs and logit
+bytes against execution, the paper's scaling laws and figures, the `cost`
+CSV, and the per-layer vocabulary itself."""
 
 import numpy as np
 import pytest
 
+from raypatch import cli
 from raypatch import costmodel as C
+from raypatch import datasynth as ds
+from raypatch import flops
+from raypatch import model as M
+from raypatch import tensor as T
 
 from reference_impls import reference_define_layers, reference_srt_layers
 
-GIB = 2.0 ** 30
+TINY = dict(height=16, width=16, d_model=16, heads=2, d_k=8, d_v=8, n_freq_origin=2,
+            n_freq_dir=2, feature_channels=8, downsamplings=2)
+TINY_FLAGS = ["--height", "16", "--width", "16", "--d-model", "16", "--heads", "2",
+              "--d-k", "8", "--d-v", "8", "--freq-origin", "2", "--freq-dir", "2",
+              "--feature-channels", "8", "--downsamplings", "2"]
+# an SRT-scale attention stage: 8 heads, d_k = d_v = 64, 3 stride-2 stages
+SRT = dict(heads=8, d_k=64, d_v=64, downsamplings=3)
 
 
-class TestMemoryFigures:
-    def test_define_peak_bytes_exact(self):
-        # 960x1280 pixel queries against 2048 latents, 8 heads, float32
-        cfg = C.CostConfig("define", 960, 1280)
-        assert C.peak_attention_bytes(cfg) == 80530636800.0
-        assert C.peak_attention_bytes(cfg) / GIB == 75.0
+def executed(decoder, k, monkeypatch):
+    """FLOPs per stage of one encode of two rig views and one decode of the third
+    at the tiny config, and the largest array softmax_rows is handed in the decode."""
+    model = M.LightFieldModel(M.ModelConfig(k=k, **TINY), decoder)
+    *inputs, target = ds.render_scene_views(ds.generate_scene(1), 16, 16)
+    seen = []
+    softmax_rows = T.softmax_rows
 
-    def test_rp_define_k16_peak_bytes_exact(self):
-        cfg = C.CostConfig("rp-define", 960, 1280, k=16)
-        assert C.decoder_queries(cfg) == 4800
-        assert C.peak_attention_bytes(cfg) == 314572800.0
-        assert abs(C.peak_attention_bytes(cfg) / GIB - 0.293) / 0.293 < 0.005
+    def spy(x):
+        seen.append(x.data.nbytes)
+        return softmax_rows(x)
 
-    def test_precision_scales_bytes(self):
-        cfg4 = C.CostConfig("define", 960, 1280, bytes_per_element=4)
-        cfg8 = C.CostConfig("define", 960, 1280, bytes_per_element=8)
-        assert C.peak_attention_bytes(cfg8) == 2 * C.peak_attention_bytes(cfg4)
+    with T.no_grad(), flops.FlopCounter() as fc:
+        z = model.encode([(v.image, v.intrinsics, v.pose) for v in inputs])
+        monkeypatch.setattr(T, "softmax_rows", spy)
+        model.decode(z, target.intrinsics, target.pose)
+    return fc.by_stage, max(seen)
+
+
+def decoder_products(decoder, height, width, **fields):
+    """FLOPs of the decoder's attention products for one view, from its layer spec."""
+    cfg = M.ModelConfig(height=height, width=width, **fields)
+    spec = M.LightFieldModel(cfg, decoder).decoder.layer_spec(cfg.tokens_per_view())
+    return C.full_model_flops([layer for layer in spec if isinstance(layer, C.AttnProductCost)])
+
+
+def priced(decoder, height, width, **fields):
+    """(decoder queries, n_kv, FLOPs per stage, peak logit bytes) of one view."""
+    return cli.price_model(M.ModelConfig(height=height, width=width, **fields), decoder, 1)
+
+
+class TestStagesAgainstExecution:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("decoder", ["raypatch", "pixel"])
+    def test_stage_flops_and_logit_bytes_equal_execution(self, monkeypatch, decoder, k):
+        by_stage, largest_logits = executed(decoder, k, monkeypatch)
+        n_q, n_kv, stages, peak = cli.price_model(M.ModelConfig(k=k, **TINY), decoder, 2)
+        assert stages == by_stage
+        assert peak == largest_logits
+        assert n_kv == 2 * 16 * 16 // 16
+        assert n_q == (256 // (k * k) if decoder == "raypatch" else 256)
+
+    @pytest.mark.parametrize("decoder", ["raypatch", "pixel"])
+    def test_cost_csv_prints_the_executed_numbers(self, monkeypatch, capsys, decoder):
+        by_stage, largest_logits = executed(decoder, 2, monkeypatch)
+        argv = ["cost", "--decoder", decoder, "--views", "2", "--k", "2", "--csv", "-"]
+        assert cli.main(argv + TINY_FLAGS) == cli.EXIT_OK
+        header, row, end = capsys.readouterr().out.split("\n")
+        assert end == ""
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert {s: float(fields[s + "_flops"]) for s in by_stage} == by_stage
+        assert int(fields["decoder_peak_logit_bytes"]) == largest_logits
+        if decoder == "pixel":
+            assert float(fields["decoder_cnn_flops"]) == 0.0
 
 
 class TestScalingLaws:
-    @pytest.mark.parametrize("family,k", [("rp-srt", 2), ("rp-srt", 4), ("rp-srt", 8),
-                                          ("rp-define", 4), ("rp-define", 16)])
-    def test_k_squared_law_exact(self, family, k):
-        base = C.CostConfig(family[3:], 128, 128)
-        rp = C.CostConfig(family, 128, 128, k=k)
-        assert C.decoder_queries(base) == C.decoder_queries(rp) * k * k
-        assert C.make_report(base).attn_flops_dec == C.make_report(rp).attn_flops_dec * k * k
-        assert C.peak_attention_bytes(base) == C.peak_attention_bytes(rp) * k * k
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_k_squared_law_exact(self, k):
+        pixel_q, _, _, pixel_peak = priced("pixel", 128, 128, k=k)
+        rp_q, _, _, rp_peak = priced("raypatch", 128, 128, k=k)
+        assert pixel_q == rp_q * k * k
+        assert pixel_peak == rp_peak * k * k
+        assert (decoder_products("pixel", 128, 128, k=k)
+                == decoder_products("raypatch", 128, 128, k=k) * k * k)
 
     def test_srt_decoder_flops_exact(self):
         # 1228800 pixel queries against 19200 tokens, 8 heads, d_k = d_v = 64
-        r = C.make_report(C.CostConfig("srt", 960, 1280))
-        assert r.attn_flops_dec == 2.0 * 8 * 1228800 * 19200 * (64 + 64) == 48318382080000.0
+        flops_dec = decoder_products("pixel", 960, 1280, dec_blocks=1, **SRT)
+        assert flops_dec == 2.0 * 8 * 1228800 * 19200 * (64 + 64) == 48318382080000.0
 
     def test_encoder_term_unaffected_by_k(self):
-        base = C.CostConfig("srt", 128, 128)
-        rp = C.CostConfig("rp-srt", 128, 128, k=8)
-        assert C.make_report(base).attn_flops_enc == C.make_report(rp).attn_flops_enc
+        _, _, pixel, _ = priced("pixel", 128, 128, k=1)
+        _, _, rp, _ = priced("raypatch", 128, 128, k=8)
+        for stage in ("encoder_conv", "encoder_attn"):
+            assert pixel[stage] == rp[stage]
 
     def test_srt_decoder_term_16x_on_resolution_doubling(self):
         for h, w in [(64, 64), (120, 160), (128, 256)]:
-            a = C.make_report(C.CostConfig("srt", h, w)).attn_flops_dec
-            b = C.make_report(C.CostConfig("srt", 2 * h, 2 * w)).attn_flops_dec
+            a = decoder_products("pixel", h, w)
+            b = decoder_products("pixel", 2 * h, 2 * w)
             assert b / a == 16.0
-
-    def test_define_memory_slope_one_in_resolution(self):
-        # fixed latent count: peak bytes grow linearly with the pixel count
-        sizes = [(64, 64), (128, 128), (256, 256), (512, 512), (960, 1280)]
-        reports = C.sweep(C.CostConfig("define", 64, 64), "resolution", sizes)
-        pixels = np.array([r.height * r.width for r in reports], dtype=float)
-        peak = np.array([r.peak_bytes for r in reports])
-        slope = np.polyfit(np.log(pixels), np.log(peak), 1)[0]
-        assert abs(slope - 1.0) < 0.01
 
     def test_srt_decoder_flops_slope_two_in_resolution(self):
         # pixel queries against hw/4^s tokens: quadratic in the pixel count
         sizes = [(64, 64), (128, 128), (256, 256), (512, 512)]
-        reports = C.sweep(C.CostConfig("srt", 64, 64), "resolution", sizes)
-        pixels = np.array([r.height * r.width for r in reports], dtype=float)
-        flops = np.array([r.attn_flops_dec for r in reports])
-        slope = np.polyfit(np.log(pixels), np.log(flops), 1)[0]
+        pixels = np.array([h * w for h, w in sizes], dtype=float)
+        dec = np.array([decoder_products("pixel", h, w) for h, w in sizes])
+        slope = np.polyfit(np.log(pixels), np.log(dec), 1)[0]
         assert abs(slope - 2.0) < 0.01
 
     def test_speedup_nondecreasing_in_k(self):
-        base = C.make_report(C.CostConfig("srt", 128, 128)).attn_flops_dec
-        speedups = []
-        for k in (2, 4, 8, 16):
-            rp = C.make_report(C.CostConfig("rp-srt", 128, 128, k=k)).attn_flops_dec
-            speedups.append(base / rp)
+        # the whole decoder, the upsampling CNN included
+        def decoder_flops(decoder, k):
+            stages = priced(decoder, 128, 128, k=k)[2]
+            return stages["decoder_attn"] + stages.get("decoder_cnn", 0.0)
+
+        base = decoder_flops("pixel", 1)
+        speedups = [base / decoder_flops("raypatch", k) for k in (2, 4, 8, 16)]
         assert all(b > a for a, b in zip(speedups, speedups[1:]))
 
 
-class TestValidation:
-    def test_non_power_of_two_patch(self):
-        with pytest.raises(C.CostConfigError):
-            C.CostConfig("rp-srt", 120, 160, k=3)
-
-    def test_unknown_family(self):
-        with pytest.raises(C.CostConfigError):
-            C.CostConfig("nerf", 64, 64)
-
-    def test_patch_must_divide_image(self):
-        with pytest.raises(C.CostConfigError):
-            C.CostConfig("rp-srt", 100, 100, k=8)
-
-    @pytest.mark.parametrize("field", ["heads", "d_k", "n_latent"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_rejects_size_below_one(self, field, value):
-        with pytest.raises(C.CostConfigError, match=f"^{field} must be at least 1"):
-            C.CostConfig("define", 64, 64, **{field: value})
-
-    def test_tokens_after_downsampling(self):
-        cfg = C.CostConfig("srt", 128, 128, n_views=2, downsamplings=3)
-        assert C.encoder_tokens(cfg) == 2 * 128 * 128 // 64
-
-
 class TestCsv:
-    def test_header_and_shape(self):
-        reports = C.sweep(C.CostConfig("rp-define", 960, 1280, k=16), "k", [1, 2, 4])
-        text = C.reports_to_csv(reports)
-        lines = text.split("\n")
-        assert lines[0] == "family,N,h,w,k,heads,d_k,n_l,n_q_dec,n_kv_dec,attn_flops_dec,peak_bytes"
+    SWEEP = ["cost", "--decoder", "pixel", "--sweep", "k", "--values", "1,2,4", "--csv"]
+
+    def test_header_and_shape(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert cli.main(self.SWEEP + [str(path)]) == cli.EXIT_OK
+        lines = path.read_text().split("\n")
+        assert lines[0] == ("decoder,views,h,w,k,heads,d_k,n_q_dec,n_kv_dec,"
+                            "encoder_conv_flops,encoder_attn_flops,decoder_attn_flops,"
+                            "decoder_cnn_flops,decoder_peak_logit_bytes")
         assert len(lines) == 5 and lines[-1] == ""  # header + 3 rows + trailing LF
+        assert [row.split(",")[4] for row in lines[1:4]] == ["1", "2", "4"]
 
-    def test_floats_full_precision(self):
-        r = C.make_report(C.CostConfig("define", 960, 1280))
-        text = C.reports_to_csv([r])
-        row = text.split("\n")[1].split(",")
-        assert float(row[-1]) == r.peak_bytes
-        assert float(row[-2]) == r.attn_flops_dec
+    def test_floats_full_precision(self, capsys):
+        assert cli.main(["cost", "--decoder", "pixel", "--dec-blocks", "1", "--heads", "8",
+                         "--d-k", "64", "--d-v", "64", "--downsamplings", "3",
+                         "--csv", "-"]) == cli.EXIT_OK
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        _, _, stages, peak = priced("pixel", 960, 1280, dec_blocks=1, **SRT)
+        assert float(row[-3]) == stages["decoder_attn"]
+        assert int(row[-1]) == peak == 8 * 1228800 * 19200
 
-    def test_n_latent_blank_for_srt(self):
-        r = C.make_report(C.CostConfig("srt", 64, 64))
-        row = C.reports_to_csv([r]).split("\n")[1].split(",")
-        assert row[7] == ""
-
-    def test_lf_line_endings(self):
-        text = C.reports_to_csv([C.make_report(C.CostConfig("srt", 64, 64))])
-        assert "\r" not in text
+    def test_lf_line_endings(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        assert cli.main(self.SWEEP + [str(path)]) == cli.EXIT_OK
+        assert b"\r" not in path.read_bytes()
 
 
 class TestModelFlopAudit:

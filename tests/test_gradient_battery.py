@@ -1,0 +1,144 @@
+"""Finite-difference gradient battery: every op, block and model leaf, two seeds.
+
+Each case maps one leaf tensor through the code under test to a scalar and
+compares autodiff against central differences. One generator per seed draws
+every case's inputs in a fixed order, so a case's inputs depend on the seed
+and on the cases drawn before it, not on which cases a run selects.
+"""
+
+import numpy as np
+import pytest
+
+from raypatch import datasynth as ds
+from raypatch import model as M
+from raypatch import tensor as T
+from raypatch.blocks import AttnBlock, FeedForward, MhaConfig, MultiHeadAttention
+
+from reference_impls import grad_check, sum_all
+
+OP_TOL = 1e-5
+MODEL_TOL = 1e-4
+STEP = 1e-5
+SEEDS = (0, 11)
+
+
+def _op_cases(rng):
+    """(name, f, leaf) triples where f(leaf) is a scalar through one op."""
+    w = T.Tensor(rng.standard_normal((6, 4)))
+    bias = T.Tensor(rng.standard_normal(4))
+    conv_w = T.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3)
+    gamma = T.Tensor(rng.uniform(0.5, 1.5, 8))
+    beta = T.Tensor(rng.standard_normal(8))
+    in_gamma, in_beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
+    idx = rng.permutation(24)[:7]
+    # probes turn row-normalized outputs into informative scalars; every one
+    # must be drawn up front or finite differencing sees a moving target
+    probe_sm = T.Tensor(rng.standard_normal((4, 5)))
+    probe_ln = T.Tensor(rng.standard_normal((3, 8)))
+    probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
+    # the scaled-matmul row draws from a child generator, so every other row
+    # keeps the inputs that rng's stream gives it
+    late = rng.spawn(1)[0]
+    probe_mm = T.Tensor(late.standard_normal((5, 4)))
+
+    return [
+        ("matmul", lambda x: sum_all(T.matmul(x, w)),
+         T.Tensor(rng.standard_normal((5, 6)))),
+        ("matmul_scaled", lambda x: sum_all(T.mul(T.matmul(x, w, scale=0.4), probe_mm)),
+         T.Tensor(late.standard_normal((5, 6)))),
+        ("linear", lambda x: sum_all(T.linear(x, w, bias)),
+         T.Tensor(rng.standard_normal((3, 6)))),
+        ("softmax", lambda x: sum_all(T.mul(T.softmax_rows(x), probe_sm)),
+         T.Tensor(rng.standard_normal((4, 5)))),
+        ("layer_norm", lambda x: sum_all(T.mul(T.layer_norm(x, gamma, beta),
+                                                 probe_ln)),
+         T.Tensor(rng.standard_normal((3, 8)))),
+        ("conv2d_s1", lambda x: sum_all(T.conv2d(x, conv_w)),
+         T.Tensor(rng.standard_normal((2, 5, 6)))),
+        ("conv2d_s2", lambda x: sum_all(T.conv2d(x, conv_w, stride=2)),
+         T.Tensor(rng.standard_normal((2, 6, 6)))),
+        ("instance_norm", lambda x: sum_all(T.mul(
+            T.instance_norm(x, in_gamma, in_beta), probe_in)),
+         T.Tensor(rng.standard_normal((2, 4, 4)))),
+        ("leaky_relu", lambda x: sum_all(T.leaky_relu(x)),
+         T.Tensor(rng.standard_normal(40) + 0.05)),
+        ("absolute", lambda x: sum_all(T.absolute(x)),
+         T.Tensor(rng.standard_normal(12) + 0.3)),
+        ("take", lambda x: sum_all(T.take(x, idx)),
+         T.Tensor(rng.standard_normal((4, 6)))),
+        ("bilinear2x", lambda x: sum_all(T.upsample_bilinear2x(x)),
+         T.Tensor(rng.standard_normal((2, 3, 4)))),
+        ("nearest2x", lambda x: sum_all(T.upsample_nearest2x(x)),
+         T.Tensor(rng.standard_normal((2, 3, 4)))),
+    ]
+
+
+def _block_cases(rng):
+    cfg = MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+    mha = MultiHeadAttention(cfg, rng)
+    block = AttnBlock(cfg, rng)
+    ff = FeedForward(rng, 8)
+    kv = T.Tensor(rng.standard_normal((6, 8)))
+    probe = T.Tensor(rng.standard_normal((5, 8)))
+
+    return [
+        ("mha_cross", lambda x: sum_all(T.mul(mha(x, kv), probe)),
+         T.Tensor(rng.standard_normal((5, 8)))),
+        ("attn_block_self", lambda x: sum_all(T.mul(block(x), probe)),
+         T.Tensor(rng.standard_normal((5, 8)))),
+        ("attn_block_cross", lambda x: sum_all(T.mul(block(x, kv), probe)),
+         T.Tensor(rng.standard_normal((5, 8)))),
+        ("feed_forward", lambda x: sum_all(T.mul(ff(x), probe)),
+         T.Tensor(rng.standard_normal((5, 8)))),
+    ]
+
+
+def _model_cases(rng, seed):
+    cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
+                        n_freq_origin=2, n_freq_dir=2, feature_channels=8,
+                        downsamplings=2, seed=seed)
+    views = ds.render_scene_views(ds.generate_scene(seed), 8, 8)
+    target = views[1]
+
+    cases = []
+    for kind in ("raypatch", "pixel"):
+        model = M.LightFieldModel(cfg, kind)
+        named = dict(model.named_parameters())
+
+        def loss_given(image, model=model):
+            z = model.encode([(image, views[0].intrinsics, views[0].pose)])
+            out = model.decode(z, target.intrinsics, target.pose)
+            total, _ = M.loss_total(out, target.image, target.depth)
+            return total
+
+        def loss_fixed(_leaf, loss_given=loss_given):
+            # the leaf under test lives inside the model; the input stays put
+            return loss_given(views[0].image)
+
+        cases.append((f"{kind}_input_image", loss_given,
+                      T.parameter(views[0].image.astype(np.float64))))
+        cases.append((f"{kind}_embed_bias", loss_fixed, named["dec.embed.b"]))
+        head = "dec.final.b" if kind == "raypatch" else "dec.head2.b"
+        cases.append((f"{kind}_head_bias", loss_fixed, named[head]))
+        cases.append((f"{kind}_ln_gamma", loss_fixed, named["enc.block0.ln1.gamma"]))
+    return cases
+
+
+def battery(seed):
+    """{name: (f, leaf, tol)} of every case, drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    cases = {name: (f, leaf, OP_TOL) for name, f, leaf in _op_cases(rng)}
+    cases.update((name, (f, leaf, MODEL_TOL)) for name, f, leaf in _block_cases(rng))
+    cases.update((name, (f, leaf, MODEL_TOL)) for name, f, leaf in _model_cases(rng, seed))
+    return cases
+
+
+NAMES = list(battery(0))
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_autodiff_matches_finite_differences(seed, name):
+    f, leaf, tol = battery(seed)[name]
+    err = grad_check(f, leaf, step=STEP)
+    assert err <= tol, f"{name} at seed {seed}: rel err {err:.3e} > {tol:.0e}"

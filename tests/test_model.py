@@ -15,6 +15,8 @@ from raypatch import model as M
 from raypatch import tensor as T
 from raypatch.costmodel import full_model_flops
 
+from reference_impls import grad_check
+
 
 def tiny_cfg(**kw):
     base = dict(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
@@ -301,7 +303,7 @@ class TestGradients:
         leaves = ["dec.embed.b", "enc.block0.ln1.gamma"]
         leaves.append("dec.final.b" if kind == "raypatch" else "dec.head2.b")
         for name in leaves:
-            err = T.grad_check(f, named[name], step=1e-5)
+            err = grad_check(f, named[name], step=1e-5)
             assert err <= 1e-4, f"{name}: rel err {err}"
 
     def test_end_to_end_gradcheck_input_image(self):
@@ -316,7 +318,7 @@ class TestGradients:
             total, _ = M.loss_total(out, targets[0].image, targets[0].depth)
             return total
 
-        assert T.grad_check(f, img, step=1e-5) <= 1e-4
+        assert grad_check(f, img, step=1e-5) <= 1e-4
 
 
 class TestGradientHandOver:

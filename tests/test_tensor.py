@@ -12,12 +12,14 @@ from raypatch.tensor import Tensor
 
 from reference_impls import (
     conv2d_loops,
+    grad_check,
     instance_norm_naive,
     layer_norm_naive,
     leaky_relu_backward_naive,
     leaky_relu_naive,
     matmul_loops,
     softmax_rows_naive,
+    sum_all,
     upsample_bilinear2x_loops,
     upsample_nearest2x_loops,
 )
@@ -38,7 +40,7 @@ def weighted_sum_grads(op, arrays, w):
     T.tape_clear()
     leaves = [T.parameter(a.copy()) for a in arrays]
     out = op(*leaves)
-    T.backward(T.sum_all(T.mul(out, Tensor(w))))
+    T.backward(sum_all(T.mul(out, Tensor(w))))
     return out.data, [t.grad for t in leaves]
 
 
@@ -77,8 +79,8 @@ class TestMatmul:
     def test_grads(self, rng):
         a = leaf(rng, 3, 4)
         b = leaf(rng, 4, 2)
-        assert T.grad_check(lambda t: T.sum_all(T.matmul(t, b)), a) < 1e-5
-        assert T.grad_check(lambda t: T.sum_all(T.matmul(a, t)), b) < 1e-5
+        assert grad_check(lambda t: sum_all(T.matmul(t, b)), a) < 1e-5
+        assert grad_check(lambda t: sum_all(T.matmul(a, t)), b) < 1e-5
 
     def test_scale_is_bit_equal_to_a_separate_mul(self, rng):
         a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 13))
@@ -118,7 +120,7 @@ class TestSoftmax:
     def test_grad(self, rng):
         x = leaf(rng, 5, 6)
         w = Tensor(rng.standard_normal((5, 6)))  # random loss weights
-        assert T.grad_check(lambda t: T.sum_all(T.mul(T.softmax_rows(t), w)), x) < 1e-5
+        assert grad_check(lambda t: sum_all(T.mul(T.softmax_rows(t), w)), x) < 1e-5
 
     def test_bit_equal_to_the_unfused_formula(self, rng):
         x = rng.standard_normal((37, 64)) * 3.0
@@ -154,11 +156,11 @@ class TestLayerNorm:
         def loss_through(t, which):
             args = {"x": x, "g": gamma, "b": beta}
             args[which] = t
-            return T.sum_all(T.mul(T.layer_norm(args["x"], args["g"], args["b"]), w))
+            return sum_all(T.mul(T.layer_norm(args["x"], args["g"], args["b"]), w))
 
-        assert T.grad_check(lambda t: loss_through(t, "x"), x) < 1e-5
-        assert T.grad_check(lambda t: loss_through(t, "g"), gamma) < 1e-5
-        assert T.grad_check(lambda t: loss_through(t, "b"), beta) < 1e-5
+        assert grad_check(lambda t: loss_through(t, "x"), x) < 1e-5
+        assert grad_check(lambda t: loss_through(t, "g"), gamma) < 1e-5
+        assert grad_check(lambda t: loss_through(t, "b"), beta) < 1e-5
 
 
 class TestConv2d:
@@ -191,11 +193,11 @@ class TestConv2d:
         w = leaf(rng, 3, 2, 3, 3)
         b = leaf(rng, 3)
         for t, f in [
-            (x, lambda t: T.sum_all(T.conv2d(t, w, b, stride=stride))),
-            (w, lambda t: T.sum_all(T.conv2d(x, t, b, stride=stride))),
-            (b, lambda t: T.sum_all(T.conv2d(x, w, t, stride=stride))),
+            (x, lambda t: sum_all(T.conv2d(t, w, b, stride=stride))),
+            (w, lambda t: sum_all(T.conv2d(x, t, b, stride=stride))),
+            (b, lambda t: sum_all(T.conv2d(x, w, t, stride=stride))),
         ]:
-            assert T.grad_check(f, t) < 1e-5
+            assert grad_check(f, t) < 1e-5
 
 
 def conv2d_padded(x, w, b, stride, g):
@@ -277,7 +279,7 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         gc.collect()
         assert [slot for slot, _ in T._tape] == [out._slot]
         assert alive() is None
-        T.backward(T.sum_all(out))
+        T.backward(sum_all(out))
         assert wt.grad is not None
 
     def test_attention_keeps_two_logit_sized_arrays(self, rng):
@@ -304,7 +306,6 @@ _LIVENESS = {
     "mul_by_number": (lambda a: T.mul(a, 2.5), [((3, 4), True)], (False,), False),
     "leaky_relu": (T.leaky_relu, [((3, 4), True)], (False,), False),
     "absolute": (T.absolute, [((3, 4), True)], (False,), False),
-    "sum_all": (T.sum_all, [((3, 4), True)], (False,), False),
     "mean_all": (T.mean_all, [((3, 4), True)], (False,), False),
     "take": (lambda x: T.take(x, [0, 5, 5, 11]), [((3, 4), True)], (False,), False),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [((3, 4), True), ((3, 2), True)],
@@ -357,7 +358,7 @@ class TestLiveness:
         out = op(*inputs)
         out_ref = weakref.ref(out.data)
         w = Tensor(np.random.default_rng(8).standard_normal(out.shape))
-        loss = T.sum_all(T.mul(out, w))
+        loss = sum_all(T.mul(out, w))
         kept = (inputs, out)
         if drop:
             del kept, inputs, out
@@ -389,10 +390,10 @@ def test_public_functions_are_pinned():
               if not name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == T.__name__}
     assert public == {
-        "absolute", "add", "backward", "concat", "conv2d", "global_grad_norm", "grad_check",
-        "instance_norm", "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul",
-        "parameter", "reshape", "softmax_rows", "split", "sub", "sum_all", "take",
-        "tape_clear", "transpose", "upsample_bilinear2x", "upsample_nearest2x"}
+        "absolute", "add", "backward", "concat", "conv2d", "global_grad_norm", "instance_norm",
+        "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul", "parameter",
+        "reshape", "softmax_rows", "split", "sub", "take", "tape_clear", "transpose",
+        "upsample_bilinear2x", "upsample_nearest2x"}
 
 
 class TestUpsampling:
@@ -414,8 +415,8 @@ class TestUpsampling:
     def test_grads(self, rng):
         x = leaf(rng, 2, 3, 3)
         w = Tensor(rng.standard_normal((2, 6, 6)))
-        assert T.grad_check(lambda t: T.sum_all(T.mul(T.upsample_nearest2x(t), w)), x) < 1e-5
-        assert T.grad_check(lambda t: T.sum_all(T.mul(T.upsample_bilinear2x(t), w)), x) < 1e-5
+        assert grad_check(lambda t: sum_all(T.mul(T.upsample_nearest2x(t), w)), x) < 1e-5
+        assert grad_check(lambda t: sum_all(T.mul(T.upsample_bilinear2x(t), w)), x) < 1e-5
 
 
 class TestInstanceNorm:
@@ -435,11 +436,11 @@ class TestInstanceNorm:
             args = {"x": x, "g": gamma, "b": beta}
             args[which] = t
             out = T.instance_norm(args["x"], args["g"], args["b"])
-            return T.sum_all(T.mul(out, w))
+            return sum_all(T.mul(out, w))
 
-        assert T.grad_check(lambda t: f(t, "x"), x) < 1e-5
-        assert T.grad_check(lambda t: f(t, "g"), gamma) < 1e-5
-        assert T.grad_check(lambda t: f(t, "b"), beta) < 1e-5
+        assert grad_check(lambda t: f(t, "x"), x) < 1e-5
+        assert grad_check(lambda t: f(t, "g"), gamma) < 1e-5
+        assert grad_check(lambda t: f(t, "b"), beta) < 1e-5
 
     def test_against_naive(self, rng):
         x = rng.standard_normal((3, 5, 6)) * 2.0 + 1.0
@@ -491,20 +492,20 @@ class TestElementwise:
         w = Tensor(rng.standard_normal((4, 6)))
         x = leaf(rng, 4, 6)
         cases = {
-            "leaky_relu": lambda t: T.sum_all(T.mul(T.leaky_relu(t), w)),
-            "absolute": lambda t: T.sum_all(T.mul(T.absolute(t), w)),
+            "leaky_relu": lambda t: sum_all(T.mul(T.leaky_relu(t), w)),
+            "absolute": lambda t: sum_all(T.mul(T.absolute(t), w)),
             "mean_all": lambda t: T.mean_all(T.mul(t, w)),
-            "take": lambda t: T.sum_all(T.take(t, np.array([0, 5, 11, 23, 23]))),
-            "concat": lambda t: T.sum_all(T.mul(T.concat([t, t], axis=1), w_cat)),
+            "take": lambda t: sum_all(T.take(t, np.array([0, 5, 11, 23, 23]))),
+            "concat": lambda t: sum_all(T.mul(T.concat([t, t], axis=1), w_cat)),
             # the middle part is left unused: its slice of the gradient stays zero
-            "split": lambda t: T.sum_all(T.mul(T.concat(
+            "split": lambda t: sum_all(T.mul(T.concat(
                 [T.split(t, [1, 2, 3], axis=1)[i] for i in (2, 0)], axis=1), w_split)),
-            "reshape": lambda t: T.sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
-            "transpose": lambda t: T.sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
-            "linear_x": lambda t: T.sum_all(T.mul(T.linear(t, w_lin, bias_r), w)),
-            "linear_w": lambda t: T.sum_all(T.mul(T.linear(x, t, bias_r), w)),
-            "linear_b": lambda t: T.sum_all(T.mul(T.linear(x, w_lin, t), w)),
-            "linear_no_bias": lambda t: T.sum_all(T.mul(T.linear(t, w_lin), w)),
+            "reshape": lambda t: sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
+            "transpose": lambda t: sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
+            "linear_x": lambda t: sum_all(T.mul(T.linear(t, w_lin, bias_r), w)),
+            "linear_w": lambda t: sum_all(T.mul(T.linear(x, t, bias_r), w)),
+            "linear_b": lambda t: sum_all(T.mul(T.linear(x, w_lin, t), w)),
+            "linear_no_bias": lambda t: sum_all(T.mul(T.linear(t, w_lin), w)),
         }
         bias_r = leaf(rng, 6)
         w_cat = Tensor(rng.standard_normal((4, 12)))
@@ -513,7 +514,7 @@ class TestElementwise:
         w_t = Tensor(rng.standard_normal((6, 4)))
         w_lin = leaf(rng, 6, 6)
         subject = {"linear_w": w_lin, "linear_b": bias_r}.get(name, x)
-        assert T.grad_check(cases[name], subject) < 1e-5
+        assert grad_check(cases[name], subject) < 1e-5
 
 
 class TestLinear:
@@ -554,7 +555,7 @@ class TestGraphSemantics:
     def test_fan_out_sums_contributions(self, rng):
         # y = x*x + x used twice: dy/dx = 2x + 1
         x = leaf(rng, 5)
-        y = T.sum_all(T.add(T.mul(x, x), x))
+        y = sum_all(T.add(T.mul(x, x), x))
         T.backward(y)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1, atol=1e-12)
 
@@ -562,7 +563,7 @@ class TestGraphSemantics:
         x = leaf(rng, 3)
         z = leaf(rng, 3)
         _unused = T.absolute(z)
-        y = T.sum_all(x)
+        y = sum_all(x)
         T.backward(y)
         np.testing.assert_array_equal(x.grad, np.ones(3))
         assert z.grad is None
@@ -572,7 +573,7 @@ class TestGraphSemantics:
         with T.no_grad():
             y = T.mul(x, 2.0)
         assert not y.requires_grad
-        loss = T.sum_all(x)
+        loss = sum_all(x)
         T.backward(loss)
         assert x.grad is not None
 
@@ -595,13 +596,13 @@ class TestGraphSemantics:
         # add gives one g to both inputs; mul hands over two fresh products
         x = leaf(rng, 4, 3)
         w = Tensor(rng.standard_normal((4, 3)))
-        T.backward(T.sum_all(T.mul(T.add(x, x), w)))
+        T.backward(sum_all(T.mul(T.add(x, x), w)))
         np.testing.assert_array_equal(x.grad, 2.0 * w.data)
         x.grad = None
-        T.backward(T.sum_all(T.mul(T.mul(x, x), w)))
+        T.backward(sum_all(T.mul(T.mul(x, x), w)))
         np.testing.assert_allclose(x.grad, 2.0 * x.data * w.data, rtol=1e-15, atol=0)
-        assert T.grad_check(lambda t: T.sum_all(T.mul(T.add(t, t), w)), x) < 1e-5
-        assert T.grad_check(lambda t: T.sum_all(T.mul(T.mul(t, t), w)), x) < 1e-5
+        assert grad_check(lambda t: sum_all(T.mul(T.add(t, t), w)), x) < 1e-5
+        assert grad_check(lambda t: sum_all(T.mul(T.mul(t, t), w)), x) < 1e-5
 
     def test_add_gives_each_input_its_own_gradient(self, rng):
         # x is used before the add too: that use's backward runs after the add's
@@ -609,7 +610,7 @@ class TestGraphSemantics:
         x, y = leaf(rng, 3), leaf(rng, 3)
         w, w2 = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
         early = T.mul(x, w2)
-        T.backward(T.add(T.sum_all(T.mul(T.add(x, y), w)), T.sum_all(early)))
+        T.backward(T.add(sum_all(T.mul(T.add(x, y), w)), sum_all(early)))
         np.testing.assert_array_equal(y.grad, w.data)
         np.testing.assert_array_equal(x.grad, w.data + w2.data)
         assert not np.shares_memory(x.grad, y.grad)
@@ -620,7 +621,7 @@ class TestGraphSemantics:
         T.tape_clear()
         h = T.leaky_relu(T.linear(x, w))
         parts = T.split(h, [1, 1], axis=1)
-        loss = T.sum_all(T.add(T.mul(parts[0], parts[1]), T.absolute(parts[0])))
+        loss = T.mean_all(T.add(T.mul(parts[0], parts[1]), T.absolute(parts[0])))
         recorded = [slot for slot, _ in T._tape]
         assert loss._slot in recorded and len(recorded) == 8
         T.backward(loss)
@@ -657,7 +658,7 @@ class TestGraphSemantics:
     def test_grad_check_rejects_bad_step(self, rng):
         x = leaf(rng, 2)
         with pytest.raises(ValueError):
-            T.grad_check(lambda t: T.sum_all(t), x, step=1e-2)
+            grad_check(lambda t: sum_all(t), x, step=1e-2)
 
 
 class TestFlopCounting:
