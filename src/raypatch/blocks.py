@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .costmodel import AttnProductCost, LinearCost
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,10 @@ class Linear:
 
     def __call__(self, x):
         return T.linear(x, self.w, self.b)
+
+    def cost(self, n):
+        """The layer of one call on ``n`` rows."""
+        return [LinearCost(n, *self.w.shape)]
 
     def params(self, prefix):
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
@@ -84,6 +89,10 @@ class MultiHeadAttention:
         k_t = T.split(T.transpose(self.k_proj(x_kv), (1, 0)), [cfg.d_k] * cfg.heads)
         return list(zip(k_t, T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)))
 
+    def kv_cost(self, n_kv):
+        """Layers of ``project_kv`` on ``n_kv`` tokens."""
+        return self.k_proj.cost(n_kv) + self.v_proj.cost(n_kv)
+
     def __call__(self, x_q, x_kv):
         """Attend from ``x_q`` to ``x_kv``; self-attention when they are one tensor."""
         q = T.split(self.q_proj(x_q), [self.cfg.d_k] * self.cfg.heads, axis=1)
@@ -93,6 +102,12 @@ class MultiHeadAttention:
         kv = self._kv[1] if kept else self.project_kv(x_kv)
         head_outs = [scaled_dot_attention(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)]
         return self.out(T.concat(head_outs, axis=1))
+
+    def cost(self, n_q, n_kv):
+        """Layers of a call besides ``project_kv``: Q, the two products, output."""
+        cfg = self.cfg
+        return (self.q_proj.cost(n_q) + [AttnProductCost(cfg.heads, n_q, n_kv, cfg.d_k, cfg.d_v)]
+                + self.out.cost(n_q))
 
     def params(self, prefix):
         return (self.q_proj.params(f"{prefix}.q") + self.k_proj.params(f"{prefix}.k")
@@ -108,6 +123,9 @@ class FeedForward:
 
     def __call__(self, x):
         return self.lin2(T.leaky_relu(self.lin1(x)))
+
+    def cost(self, n):
+        return self.lin1.cost(n) + self.lin2.cost(n)
 
     def params(self, prefix):
         return self.lin1.params(prefix + ".lin1") + self.lin2.params(prefix + ".lin2")
@@ -139,6 +157,10 @@ class AttnBlock:
         x_kv = x_q if x_kv is None else x_kv
         y = self.ln1(T.add(x_q, self.mha(x_q, x_kv)))
         return self.ln2(T.add(y, self.ff(y)))
+
+    def cost(self, n_q, n_kv):
+        """Layers of a call besides its K/V projections (``mha.kv_cost``)."""
+        return self.mha.cost(n_q, n_kv) + self.ff.cost(n_q)
 
     def params(self, prefix):
         return (self.mha.params(prefix + ".mha") + self.ln1.params(prefix + ".ln1")

@@ -30,7 +30,6 @@ from . import costmodel as cm
 from . import datasynth as ds
 from . import model as M
 from . import tensor as T
-from .geometry import GridError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,6 +147,8 @@ def price_model(cfg, decoder, n_views):
 
 
 def cmd_cost(args):
+    if args.csv != "-":
+        _check_output_paths(("--csv", args.csv))
     if args.views < 1:
         raise ValueError(f"--views must be at least 1, got {args.views}")
     base = dict(_model_overrides(args), height=args.height, width=args.width)
@@ -363,7 +364,7 @@ def main(argv=None):
     except T.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (M.ModelConfigError, GridError, T.DimensionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -1,6 +1,10 @@
 """Per-layer FLOP vocabulary: the layers that ``layer_spec`` returns and ``flops`` checks.
 
 A model is priced as a flat list of layers, each of which answers ``flops()``.
+The modules price themselves: each one's ``cost`` lists these layers for the
+ops it executes, read from its own weight shapes, so the architecture is
+written once, in the modules.
+
 Conventions, shared with the instrumented counter in ``flops``:
   * one multiply-accumulate = 2 FLOPs;
   * an ``AttnProductCost`` is the two scaled-dot products (Q K^T and A V) of
@@ -11,7 +15,6 @@ Conventions, shared with the instrumented counter in ``flops``:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -67,46 +70,3 @@ class UpsampleCost:
 def full_model_flops(layers):
     """Total FLOPs of a layer list; an empty spec costs nothing."""
     return float(sum(layer.flops() for layer in layers))
-
-
-def kv_projection_cost(n_kv, d_model, heads, d_k, d_v):
-    """The K and V projections of one attention block."""
-    return [LinearCost(n_kv, d_model, heads * d_k), LinearCost(n_kv, d_model, heads * d_v)]
-
-
-def attention_block_cost(n_q, n_kv, d_model, heads, d_k, d_v, with_kv=True):
-    """Layers of one attention block: Q/K/V/out projections, products, feed-forward.
-
-    ``with_kv=False`` leaves out the K/V projections, for a block whose keys
-    and values were projected once for several calls.
-    """
-    layers = [LinearCost(n_q, d_model, heads * d_k)]
-    if with_kv:
-        layers += kv_projection_cost(n_kv, d_model, heads, d_k, d_v)
-    layers += [AttnProductCost(heads, n_q, n_kv, d_k, d_v),
-               LinearCost(n_q, heads * d_v, d_model)]
-    hidden = 2 * d_model  # FeedForward's hidden width
-    layers += [LinearCost(n_q, d_model, hidden), LinearCost(n_q, hidden, d_model)]
-    return layers
-
-
-def upsampling_cnn_cost(k, out_h, out_w, f, c_out):
-    """Layers of the patch-to-pixel CNN: log2(k) upsampling blocks plus heads.
-
-    The feature head hands the CNN an f-channel map (f = 128 by default
-    upstream); block i upsamples by 2 and convolves channels ch -> ch/2. A
-    preliminary c_out-channel conv taps each block input and the accumulated
-    preliminary image is bilinearly doubled alongside. A final conv maps the
-    last block output to c_out. k = 1 degenerates to the final conv alone.
-    """
-    m = int(round(math.log2(k)))
-    layers = []
-    h, w = out_h // k, out_w // k
-    ch = f
-    for _ in range(m):
-        layers.append(ConvCost(h, w, ch, c_out))            # preliminary tap
-        layers.append(UpsampleCost(c_out, 2 * h, 2 * w))    # accumulated preliminary
-        layers.append(ConvCost(2 * h, 2 * w, ch, ch // 2))  # block conv after nearest 2x
-        h, w, ch = 2 * h, 2 * w, ch // 2
-    layers.append(ConvCost(h, w, ch, c_out))                # final conv
-    return layers

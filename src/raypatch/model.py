@@ -11,11 +11,12 @@ where the two variants differ:
   the patch center), then reconstructs pixels with a small upsampling CNN.
   Attention cost and peak attention memory drop by exactly k^2.
 
-The encoder and each decoder answer ``layer_spec()`` with the cost-model
-layer list that mirrors their executed tensor ops one for one, and
-``stage_flops`` sums those lists into the ``flops.stage`` names the forward
-code runs under, so the instrumented FLOP counter and the layer specs can be
-compared stage by stage.
+Every module prices itself: its ``cost`` lists the cost-model layers of the
+tensor ops it executes, read from its own weight shapes. The encoder and
+each decoder answer ``layer_spec()`` by walking their modules' ``cost``, so
+the list mirrors the executed ops one for one. ``stage_flops`` sums those
+lists into the ``flops.stage`` names the forward code runs under, so the
+instrumented FLOP counter and the layer specs can be compared stage by stage.
 
 Without gradient recording, each decoder block's attention keeps the keys
 and values of the last token tensor it was given and reuses them for every
@@ -32,14 +33,7 @@ import numpy as np
 from . import flops
 from . import tensor as T
 from .blocks import AttnBlock, Linear, MhaConfig, uniform_init
-from .costmodel import (
-    ConvCost,
-    LinearCost,
-    UpsampleCost,
-    attention_block_cost,
-    kv_projection_cost,
-    upsampling_cnn_cost,
-)
+from .costmodel import ConvCost, UpsampleCost
 from .geometry import PatchGrid, build_queries, query_dim, ray_feature_map
 
 RGB_WEIGHT = 5.0
@@ -118,6 +112,11 @@ class Conv3x3:
     def __call__(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride)
 
+    def cost(self, h, w):
+        """The layer of one call on an h x w map."""
+        c_out, c_in = self.w.shape[:2]
+        return [ConvCost(h // self.stride, w // self.stride, c_in, c_out)]
+
     def params(self, prefix):
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
@@ -136,6 +135,9 @@ class ConvBlock:
 
     def __call__(self, x):
         return T.leaky_relu(T.instance_norm(self.conv(x), self.gamma, self.beta))
+
+    def cost(self, h, w):
+        return self.conv.cost(h, w)
 
     def params(self, prefix):
         return self.conv.params(prefix + ".conv") + [
@@ -192,16 +194,14 @@ class Encoder:
 
     def layer_spec(self, n_views):
         cfg = self.cfg
-        layers = []
-        for _ in range(n_views):
-            h, w, c = cfg.height, cfg.width, 3 + cfg.query_channels
-            for c_out in _conv_channels(cfg):
-                h, w = h // 2, w // 2
-                layers.append(ConvCost(h, w, c, c_out))
-                c = c_out
+        view, h, w = [], cfg.height, cfg.width
+        for conv in self.convs:
+            view += conv.cost(h, w)
+            h, w = view[-1].out_h, view[-1].out_w
+        layers = n_views * view
         n = n_views * cfg.tokens_per_view()
-        for _ in range(cfg.enc_blocks):
-            layers += attention_block_cost(n, n, cfg.d_model, cfg.heads, cfg.d_k, cfg.d_v)
+        for blk in self.blocks:  # self-attention projects its K/V every call
+            layers += blk.mha.kv_cost(n) + blk.cost(n, n)
         return layers
 
 
@@ -236,12 +236,11 @@ class _QueryDecoder:
         """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
         cfg = self.cfg
         n_q = (cfg.height // self.k) * (cfg.width // self.k)
-        view = [LinearCost(n_q, cfg.query_channels, cfg.d_model)]
-        for _ in range(cfg.dec_blocks):
-            view += attention_block_cost(n_q, n_kv, cfg.d_model, cfg.heads,
-                                         cfg.d_k, cfg.d_v, with_kv=False)
-        kv = kv_projection_cost(n_kv, cfg.d_model, cfg.heads, cfg.d_k, cfg.d_v)
-        return cfg.dec_blocks * kv + n_views * (view + self._head_cost(n_q))
+        view = self.embed.cost(n_q)
+        for blk in self.blocks:
+            view += blk.cost(n_q, n_kv)
+        kv = [layer for blk in self.blocks for layer in blk.mha.kv_cost(n_kv)]
+        return kv + n_views * (view + self._head_cost(n_q))
 
 
 class RayPatchDecoder(_QueryDecoder):
@@ -291,8 +290,12 @@ class RayPatchDecoder(_QueryDecoder):
 
     def _head_cost(self, n_q):
         cfg = self.cfg
-        return [LinearCost(n_q, cfg.d_model, cfg.feature_channels)] + upsampling_cnn_cost(
-            cfg.k, cfg.height, cfg.width, cfg.feature_channels, OUT_CHANNELS)
+        layers, h, w = self.feature_head.cost(n_q), cfg.height // cfg.k, cfg.width // cfg.k
+        for tap, body in zip(self.taps, self.body):
+            layers += tap.cost(h, w)
+            h, w = 2 * h, 2 * w
+            layers += [UpsampleCost(OUT_CHANNELS, h, w)] + body.cost(h, w)
+        return layers + self.final.cost(h, w)
 
 
 class PixelDecoder(_QueryDecoder):
@@ -318,8 +321,7 @@ class PixelDecoder(_QueryDecoder):
         return super().params() + self.head1.params("dec.head1") + self.head2.params("dec.head2")
 
     def _head_cost(self, n_q):
-        d = self.cfg.d_model
-        return [LinearCost(n_q, d, 2 * d), LinearCost(n_q, 2 * d, OUT_CHANNELS)]
+        return self.head1.cost(n_q) + self.head2.cost(n_q)
 
 
 DECODERS = {"raypatch": RayPatchDecoder, "pixel": PixelDecoder}

@@ -8,7 +8,7 @@ functions define what the fast implementations are checked against.
 import numpy as np
 
 from raypatch import tensor as T
-from raypatch.costmodel import ConvCost, LinearCost, attention_block_cost, upsampling_cnn_cost
+from raypatch.costmodel import AttnProductCost, ConvCost, LinearCost, UpsampleCost
 
 
 def matmul_loops(a, b):
@@ -219,17 +219,46 @@ def trace_ray_scalar(spec, origin, direction, floor_radius=4.0):
 # reference full-size architectures for the published FLOP comparisons
 # ---------------------------------------------------------------------------
 #
-# Priced in the package's cost vocabulary, which the tests check separately.
+# Priced in the package's per-layer vocabulary, which the tests check
+# separately, with closed forms of their own: the package's modules price
+# themselves, and sharing that code would move both sides together.
 # Hyperparameters below are calibrated reconstructions of the published
 # models (several details are not public); totals land in the documented
 # ratio bands rather than on exact per-model GFLOPs.
 
-SRT_REF = dict(d_model=768, heads=12, d_k=64, d_v=64, enc_blocks=10, dec_blocks=2,
-               conv_channels=(96, 192, 384), ray_channels=120, f=128)
+SRT_REF = dict(d_model=768, heads=12, d_k=64, d_v=64, ff_hidden=1536, enc_blocks=10,
+               dec_blocks=2, conv_channels=(96, 192, 384), ray_channels=120, f=128)
 
 DEFINE_REF = dict(d_model=512, latents=2048, enc_blocks=4, heads=8, d_k=64, d_v=64,
-                  dec_heads=1, dec_d_k=256, dec_d_v=256, f=128,
+                  ff_hidden=1024, dec_heads=1, dec_d_k=256, dec_d_v=256, f=128,
                   conv_channels=(64, 128, 256, 512))
+
+
+def attention_layers(n_q, n_kv, d_model, heads, d_k, d_v):
+    """Q, K and V projections, the two products and the output projection."""
+    return [LinearCost(n_q, d_model, heads * d_k), LinearCost(n_kv, d_model, heads * d_k),
+            LinearCost(n_kv, d_model, heads * d_v), AttnProductCost(heads, n_q, n_kv, d_k, d_v),
+            LinearCost(n_q, heads * d_v, d_model)]
+
+
+def transformer_block_layers(n_q, n_kv, p):
+    """Attention, then a two-layer feed-forward of width ``p["ff_hidden"]``."""
+    d, hidden = p["d_model"], p["ff_hidden"]
+    return (attention_layers(n_q, n_kv, d, p["heads"], p["d_k"], p["d_v"])
+            + [LinearCost(n_q, d, hidden), LinearCost(n_q, hidden, d)])
+
+
+def upsampling_cnn_layers(k, height, width, f, c_out):
+    """log2(k) blocks from the (height // k) x (width // k) patch grid, then a
+    final conv to ``c_out``. Block: a c_out tap conv, the tap image bilinearly
+    doubled, and a conv from ch to ch / 2 at twice the size. The grid need not
+    divide the image: 120 // 16 = 7 rows end at 112, after 4 blocks."""
+    layers, h, w, ch = [], height // k, width // k, f
+    while k > 1:
+        layers += [ConvCost(h, w, ch, c_out), UpsampleCost(c_out, 2 * h, 2 * w),
+                   ConvCost(2 * h, 2 * w, ch, ch // 2)]
+        h, w, ch, k = 2 * h, 2 * w, ch // 2, k // 2
+    return layers + [ConvCost(h, w, ch, c_out)]
 
 
 def reference_srt_layers(height, width, k=1, n_views=1):
@@ -245,16 +274,14 @@ def reference_srt_layers(height, width, k=1, n_views=1):
     tokens = n_views * h * w
     layers.append(LinearCost(h * w, c_in, p["d_model"]))  # 1x1 conv to token width
     for _ in range(p["enc_blocks"]):
-        layers += attention_block_cost(tokens, tokens, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
+        layers += transformer_block_layers(tokens, tokens, p)
     n_q = height * width // (k * k)
     for _ in range(p["dec_blocks"]):
-        layers += attention_block_cost(n_q, tokens, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
+        layers += transformer_block_layers(n_q, tokens, p)
     if k > 1:
         layers.append(LinearCost(n_q, 120, p["d_model"]))   # query embed
         layers.append(LinearCost(n_q, p["d_model"], p["f"]))  # feature head
-        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=3)
+        layers += upsampling_cnn_layers(k, height, width, p["f"], c_out=3)
     else:
         layers.append(LinearCost(n_q, p["d_model"], 3))     # rgb head
     return layers
@@ -274,20 +301,17 @@ def reference_define_layers(height, width, k=1, n_views=2, in_h=128, in_w=192):
     in_tokens = n_views * h * w
     lat = p["latents"]
     # cross-attend input tokens into the latent set, then latent self-attention
-    layers += attention_block_cost(lat, in_tokens, p["d_model"], p["heads"],
-                                   p["d_k"], p["d_v"])
+    layers += transformer_block_layers(lat, in_tokens, p)
     for _ in range(p["enc_blocks"]):
-        layers += attention_block_cost(lat, lat, p["d_model"], p["heads"],
-                                       p["d_k"], p["d_v"])
-    # single cross-attention decode stage: Q/K/V projections, products and
-    # output projection, no feed-forward
+        layers += transformer_block_layers(lat, lat, p)
+    # single cross-attention decode stage, no feed-forward
     n_q = height * width // (k * k)
-    layers += attention_block_cost(n_q, lat, p["d_model"], p["dec_heads"],
-                                   p["dec_d_k"], p["dec_d_v"])[:5]
+    layers += attention_layers(n_q, lat, p["d_model"], p["dec_heads"],
+                               p["dec_d_k"], p["dec_d_v"])
     if k > 1:
         layers.append(LinearCost(n_q, 120, p["d_model"]))
         layers.append(LinearCost(n_q, p["d_model"], p["f"]))
-        layers += upsampling_cnn_cost(k, height, width, p["f"], c_out=4)
+        layers += upsampling_cnn_layers(k, height, width, p["f"], c_out=4)
     else:
         layers.append(LinearCost(n_q, p["d_model"], 4))     # rgb-d head
     return layers

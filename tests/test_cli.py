@@ -255,6 +255,9 @@ class TestBadInvocations:
                                        "--values item '32x32x2' is not an HxW pair"),
         "cost_k_not_a_number": (["cost", "--sweep", "k", "--values", "2,a"],
                                 "--values item 'a' is not an integer"),
+        "cost_csv_dir_missing": (["cost", "--csv", "{x}.d/c.csv"],
+                                 "--csv {x}.d/c.csv: its directory does not exist"),
+        "cost_csv_is_a_directory": (["cost", "--csv", "{dir}"], "--csv {dir} is a directory"),
         "dataset_negative_scenes": (["dataset", "--out", "{x}", "--scenes", "-1"],
                                     "--scenes must be at least 1, got -1"),
         "dataset_zero_scenes": (["dataset", "--out", "{x}", "--scenes", "0"],

@@ -396,6 +396,19 @@ def test_public_functions_are_pinned():
         "upsample_bilinear2x", "upsample_nearest2x"}
 
 
+class TestLeakyRelu:
+    # both signs and both zeros: -0.0 >= 0, so it takes the identity branch
+    X = np.array([[-3.5, -1e-300, -0.0, 0.0], [1e-300, 2.25, -0.7, 41.0]])
+
+    def test_forward_against_naive(self):
+        assert_same_bits(T.leaky_relu(Tensor(self.X)).data, leaky_relu_naive(self.X))
+
+    def test_input_grad_against_naive(self, rng):
+        g = rng.standard_normal(self.X.shape)
+        _, (gx,) = weighted_sum_grads(T.leaky_relu, [self.X], g)
+        assert_same_bits(gx, leaky_relu_backward_naive(self.X, g))
+
+
 class TestUpsampling:
     def test_nearest_against_loops(self, rng):
         x = rng.standard_normal((2, 3, 4))
