@@ -15,12 +15,12 @@ Design:
     for the other input's gradient and ``linear``/``matmul`` likewise;
     ``leaky_relu`` keeps the boolean sign mask of its input; ``softmax_rows``
     keeps its own output; ``layer_norm`` and ``instance_norm`` keep ``xhat`` and
-    ``inv``; ``conv2d`` keeps its im2col matrix (for the weight gradient,
-    built without a padded copy of the input) and the weight (for the input
-    gradient); ``split``, ``reshape``, ``take`` and the upsamplings keep
-    shapes and indices only. ``matmul(a, b, scale=s)`` multiplies the fresh
-    product by ``s`` in place, so a scaled product (attention's logits) is
-    one array, not two;
+    ``inv``; ``conv2d`` keeps its phase maps (the zero-padded input split by
+    stride phase, about the input's size, for the weight gradient) and the
+    weight (for the input gradient); ``split``, ``reshape``, ``take`` and
+    the upsamplings keep shapes and indices only. ``matmul(a, b, scale=s)``
+    multiplies the fresh product by ``s`` in place, so a scaled product
+    (attention's logits) is one array, not two;
   * one tape per training step: ``backward`` pops each record as it runs it,
     so a record's closure, the forward arrays only it holds and the output's
     gradient are freed as the sweep passes them; afterwards only leaves
@@ -62,6 +62,7 @@ from . import flops
 
 
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
+_LEAKY_FACTORS = np.array([LEAKY_SLOPE, 1.0])  # leaky_relu's derivative, indexed by x >= 0
 NORM_EPS = 1e-5     # added to each row's variance by layer_norm and instance_norm
 
 M_TRIM_THRESHOLD = -1          # glibc mallopt parameter numbers (malloc.h)
@@ -313,8 +314,8 @@ def leaky_relu(x):
     out = Tensor(np.maximum(x.data, LEAKY_SLOPE * x.data), requires_grad=sx is not None)
     if out._slot is not None:
         positive = x.data >= 0  # one byte per element instead of x's eight
-        _record(out, lambda g: _accumulate(sx, g * np.where(positive, 1.0, LEAKY_SLOPE),
-                                           owned=True))
+        _record(out, lambda g: _accumulate(
+            sx, g * np.take(_LEAKY_FACTORS, positive.view(np.uint8)), owned=True))
     return out
 
 
@@ -574,28 +575,63 @@ def instance_norm(x, gamma, beta):
     return out
 
 
-def _conv_taps(n_in, n_out, stride):
-    """For each of the 3 kernel offsets along one axis: (lo, hi, src), where
-    outputs lo:hi read inputs ``src`` and the outputs outside lo:hi read the
-    zero padding."""
-    taps = []
-    for k in range(3):
-        lo = 1 if k == 0 else 0  # output 0 of offset 0 reads the padding
-        hi = min(n_out, (n_in - k) // stride + 1)
-        first = k - 1 + stride * lo
-        taps.append((lo, hi, slice(first, first + stride * (hi - lo), stride)))
-    return taps
+def _phase_cuts(n_in, stride):
+    """For each phase p along one axis of n_in inputs: (dst, src), where
+    phase positions ``dst`` hold inputs ``src``. Phase position i is padded
+    position stride * i + p, so position 0 of phase 0 is the zero padding."""
+    cuts = []
+    for p in range(stride):
+        lo = 1 if p == 0 else 0
+        src = range(stride * lo + p - 1, n_in, stride)
+        cuts.append((slice(lo, lo + len(src)), slice(src.start, None, stride)))
+    return cuts
+
+
+def _tap_runs(stride, pw, c_in):
+    """The 9 taps in runs of one product each: (weight columns, map rows,
+    flat offset). Tap t = 3 * ky + kx owns weight columns t * c_in onward and
+    reads phase map m = stride * (ky % stride) + kx % stride (rows m * c_in
+    onward) from offset pw * (ky // stride) + kx // stride. A run is
+    consecutive taps with one offset and consecutive maps (kx = 0, 1 at
+    stride 2), so its weights and its windows are one slice each."""
+    runs = []
+    for ky in range(3):
+        for kx in range(3):
+            t, m = 3 * ky + kx, stride * (ky % stride) + kx % stride
+            off = pw * (ky // stride) + kx // stride
+            if runs and runs[-1][2] == off and runs[-1][1].stop == m * c_in:
+                cols, rows, _ = runs[-1]
+                runs[-1] = (slice(cols.start, cols.stop + c_in),
+                            slice(rows.start, rows.stop + c_in), off)
+            else:
+                runs.append((slice(t * c_in, (t + 1) * c_in),
+                             slice(m * c_in, (m + 1) * c_in), off))
+    return runs
 
 
 def conv2d(x, w, b=None, stride=1):
     """3x3 convolution of [c_in, h, w] with [c_out, c_in, 3, 3], zero padding 1.
 
-    Stride 1 keeps the spatial size; stride 2 halves it (ceil). Implemented
-    as im2col + one matrix product so the work lands in BLAS. The im2col
-    matrix is built from ``x`` without a padded copy: each tap copies its
-    in-range window and zeroes its border strips. The tape record keeps the
-    matrix only for the weight gradient and the weight only for the input
-    gradient; it keeps neither ``x`` nor the output.
+    Stride 1 keeps the spatial size; stride 2 halves it (ceil). The input is
+    zero-padded once into stride x stride phase maps: map (py, px) holds the
+    padded input's rows py, py + stride, ... and columns px, px + stride,
+    ..., as [c_in, oh + 2 // stride, pw] with pw = ow + 2 // stride, stored
+    flat with a zero tail of 2 // stride. On an output grid pw columns wide,
+    tap (ky, kx) reads one contiguous window of one map, so the output is the
+    sum over the taps of ``w[:, :, ky, kx] @ window``, cropped to ow columns.
+    Taps that share a window offset and read consecutive maps (stride 2: kx
+    = 0 and 1) are one product over the stacked maps, so stride 1 runs 9
+    BLAS products and stride 2 runs 6, and no im2col matrix is built. The
+    grid's pw - ow extra columns cost (pw - ow) / ow more arithmetic, which
+    the FLOP counter leaves out: it adds 2 * c_out * c_in * 9 * oh * ow, what
+    ``ConvCost`` prices.
+
+    Backward reads the same windows. With ``g`` widened to the grid by zero
+    columns, ``dW[:, :, ky, kx] = g @ window.T``, and ``w[:, :, ky, kx].T @ g``
+    is added into the window of the maps' gradient, out of which ``x``'s is
+    read. The tape record keeps the phase maps (about the size of ``x``) only
+    for the weight gradient and the weight only for the input gradient; it
+    keeps neither ``x`` nor the output.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError("conv2d expects x[c,h,w], w[c_out,c_in,3,3]")
@@ -611,38 +647,60 @@ def conv2d(x, w, b=None, stride=1):
     h, wd = x.shape[1], x.shape[2]
     oh = (h - 1) // stride + 1
     ow = (wd - 1) // stride + 1
-    row_taps, col_taps = _conv_taps(h, oh, stride), _conv_taps(wd, ow, stride)
-    taps = [(ky, kx, row_taps[ky], col_taps[kx]) for ky in range(3) for kx in range(3)]
-    cols = np.empty((c_in, 3, 3, oh, ow), dtype=np.float64)
-    for ky, kx, (r0, r1, src_r), (c0, c1, src_c) in taps:
-        tap = cols[:, ky, kx]
-        tap[:, r0:r1, c0:c1] = x.data[:, src_r, src_c]
-        tap[:, :r0] = 0.0
-        tap[:, r1:] = 0.0
-        tap[:, :, :c0] = 0.0
-        tap[:, :, c1:] = 0.0
-    mat = cols.reshape(c_in * 9, oh * ow)
-    wmat = w.data.reshape(c_out, c_in * 9)
-    out_data = (wmat @ mat).reshape(c_out, oh, ow)
+    ph, pw = oh + 2 // stride, ow + 2 // stride
+    n = oh * pw
+    maps_shape = (stride * stride * c_in, ph * pw + 2 // stride)
+    # (map, (dst, src) rows, (dst, src) columns) of each phase map
+    cuts = [(stride * py + px, rows, cols)
+            for py, rows in enumerate(_phase_cuts(h, stride))
+            for px, cols in enumerate(_phase_cuts(wd, stride))]
+    maps = np.empty(maps_shape, dtype=np.float64)
+    maps[:, ph * pw:] = 0.0
+    grids = maps[:, :ph * pw].reshape(stride * stride, c_in, ph, pw)
+    for m, (r_dst, r_src), (c_dst, c_src) in cuts:
+        grid = grids[m]
+        grid[:, r_dst, c_dst] = x.data[:, r_src, c_src]
+        grid[:, :r_dst.start] = 0.0
+        grid[:, r_dst.stop:] = 0.0
+        grid[:, :, :c_dst.start] = 0.0
+        grid[:, :, c_dst.stop:] = 0.0
+    runs = _tap_runs(stride, pw, c_in)
+    # column (3 * ky + kx) * c_in + ci: the one reordering of w that copies fast
+    w_cols = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(c_out, 9 * c_in)
+    (cols, rows, off), *rest = runs
+    acc = w_cols[:, cols] @ maps[rows, off:off + n]
+    for cols, rows, off in rest:
+        acc += w_cols[:, cols] @ maps[rows, off:off + n]
+    out_data = acc.reshape(c_out, oh, pw)[:, :, :ow].copy()
     if b is not None:
         out_data += b.data[:, None, None]
     sx, sw, sb = x._slot, w._slot, _slot_of(b)
     out = Tensor(out_data, requires_grad=sx is not None or sw is not None or sb is not None)
     flops.add_flops(2.0 * c_out * c_in * 9 * oh * ow)
-    cols_kept = mat if sw is not None else None
-    w_kept = wmat if sx is not None else None
+    maps_kept = maps if sw is not None else None
+    w_kept = w.data if sx is not None else None
 
     def bwd(g):
-        gmat = g.reshape(c_out, oh * ow)
         if sb is not None:
             _accumulate(sb, g.sum(axis=(1, 2)), owned=True)
+        g_ext = np.zeros((c_out, oh, pw), dtype=np.float64)
+        g_ext[:, :, :ow] = g
+        g_ext = g_ext.reshape(c_out, n)
         if sw is not None:
-            _accumulate(sw, (gmat @ cols_kept.T).reshape(c_out, c_in, 3, 3), owned=True)
+            dw_cols = np.empty((c_out, 9 * c_in), dtype=np.float64)
+            for cols, rows, off in runs:
+                np.matmul(g_ext, maps_kept[rows, off:off + n].T, out=dw_cols[:, cols])
+            dw = dw_cols.reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2).copy()
+            _accumulate(sw, dw, owned=True)
         if sx is not None:
-            dcols = (w_kept.T @ gmat).reshape(c_in, 3, 3, oh, ow)
-            dx = np.zeros((c_in, h, wd), dtype=np.float64)
-            for ky, kx, (r0, r1, src_r), (c0, c1, src_c) in taps:
-                dx[:, src_r, src_c] += dcols[:, ky, kx, r0:r1, c0:c1]
+            w_cols = np.ascontiguousarray(w_kept.transpose(0, 2, 3, 1)).reshape(c_out, 9 * c_in)
+            dmaps = np.zeros(maps_shape, dtype=np.float64)
+            for cols, rows, off in runs:
+                dmaps[rows, off:off + n] += w_cols[:, cols].T @ g_ext
+            dgrids = dmaps[:, :ph * pw].reshape(stride * stride, c_in, ph, pw)
+            dx = np.empty((c_in, h, wd), dtype=np.float64)
+            for m, (r_dst, r_src), (c_dst, c_src) in cuts:
+                dx[:, r_src, c_src] = dgrids[m, :, r_dst, c_dst]
             _accumulate(sx, dx, owned=True)
 
     _record(out, bwd)

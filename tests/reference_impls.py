@@ -95,6 +95,26 @@ def conv2d_loops(x, w, b=None, stride=1):
     return out
 
 
+def conv2d_grads_loops(x, w, g, stride=1):
+    """Gradients (dx, dw, db) of sum(g * conv2d_loops(x, w, b, stride)), by
+    the same six loops: each in-range product x * w passes g to both."""
+    c_in, h, wd = x.shape
+    c_out, oh, ow = g.shape
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for co in range(c_out):
+        for oy in range(oh):
+            for ox in range(ow):
+                for ci in range(c_in):
+                    for ky in range(3):
+                        for kx in range(3):
+                            iy = oy * stride + ky - 1
+                            ix = ox * stride + kx - 1
+                            if 0 <= iy < h and 0 <= ix < wd:
+                                dx[ci, iy, ix] += g[co, oy, ox] * w[co, ci, ky, kx]
+                                dw[co, ci, ky, kx] += g[co, oy, ox] * x[ci, iy, ix]
+    return dx, dw, g.sum(axis=(1, 2))
+
+
 def upsample_nearest2x_loops(x):
     c, h, w = x.shape
     out = np.zeros((c, 2 * h, 2 * w))

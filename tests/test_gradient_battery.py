@@ -36,8 +36,8 @@ def _op_cases(rng):
     probe_sm = T.Tensor(rng.standard_normal((4, 5)))
     probe_ln = T.Tensor(rng.standard_normal((3, 8)))
     probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
-    # the scaled-matmul row draws from a child generator, so every other row
-    # keeps the inputs that rng's stream gives it
+    # rows added later draw from a child generator, so every other row keeps
+    # the inputs that rng's stream gives it
     late = rng.spawn(1)[0]
     probe_mm = T.Tensor(late.standard_normal((5, 4)))
 
@@ -57,6 +57,9 @@ def _op_cases(rng):
          T.Tensor(rng.standard_normal((2, 5, 6)))),
         ("conv2d_s2", lambda x: sum_all(T.conv2d(x, conv_w, stride=2)),
          T.Tensor(rng.standard_normal((2, 6, 6)))),
+        # odd sides: a phase map's last row and column lie outside the input
+        ("conv2d_s2_odd", lambda x: sum_all(T.conv2d(x, conv_w, stride=2)),
+         T.Tensor(late.standard_normal((2, 5, 7)))),
         ("instance_norm", lambda x: sum_all(T.mul(
             T.instance_norm(x, in_gamma, in_beta), probe_in)),
          T.Tensor(rng.standard_normal((2, 4, 4)))),

@@ -11,6 +11,7 @@ from raypatch import tensor as T
 from raypatch.tensor import Tensor
 
 from reference_impls import (
+    conv2d_grads_loops,
     conv2d_loops,
     grad_check,
     instance_norm_naive,
@@ -201,44 +202,61 @@ class TestConv2d:
 
 
 def conv2d_padded(x, w, b, stride, g):
-    """The padded im2col/col2im formulas: output and the gradients of
-    sum(g * output) for x, w and b."""
-    c_out, c_in = w.shape[:2]
+    """Output and the gradients of sum(g * output) for x, w and b, tap by tap
+    from windows of the zero-padded input."""
     oh, ow = g.shape[1:]
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c_in, 3, 3, oh, ow))
+    out = np.zeros(g.shape) + b[:, None, None]
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
     for ky in range(3):
         for kx in range(3):
-            cols[:, ky, kx] = xp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
-    mat = cols.reshape(c_in * 9, oh * ow)
-    wmat = w.reshape(c_out, c_in * 9)
-    out = (wmat @ mat).reshape(c_out, oh, ow) + b[:, None, None]
-    gmat = g.reshape(c_out, oh * ow)
-    dcols = (wmat.T @ gmat).reshape(c_in, 3, 3, oh, ow)
-    dxp = np.zeros_like(xp)
-    for ky in range(3):
-        for kx in range(3):
-            dxp[:, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += dcols[:, ky, kx]
-    return out, [dxp[:, 1:-1, 1:-1], (gmat @ mat.T).reshape(w.shape), g.sum(axis=(1, 2))]
+            window = (slice(None), slice(ky, ky + stride * oh, stride),
+                      slice(kx, kx + stride * ow, stride))
+            out += np.einsum("oc,chw->ohw", w[:, :, ky, kx], xp[window])
+            dw[:, :, ky, kx] = np.einsum("ohw,chw->oc", g, xp[window])
+            dxp[window] += np.einsum("oc,ohw->chw", w[:, :, ky, kx], g)
+    return out, [dxp[:, 1:-1, 1:-1], dw, g.sum(axis=(1, 2))]
 
 
 class TestConv2dBitEqual:
     # odd sizes, sizes 1 and 2, and stride 2 on odd sizes: every border case
-    # of the per-tap windows
+    # of the phase maps' windows
     SIZES = [(1, 1), (1, 5), (4, 1), (2, 2), (3, 3), (5, 6), (7, 9), (8, 8), (9, 4)]
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("h,w", SIZES)
-    def test_output_and_grads_match_the_padded_formula(self, rng, stride, h, w):
+    @staticmethod
+    def draw(rng, h, w, stride):
         x = rng.standard_normal((3, h, w))
         wt = rng.standard_normal((2, 3, 3, 3))
         b = rng.standard_normal(2)
         g = rng.standard_normal((2, (h - 1) // stride + 1, (w - 1) // stride + 1))
+        return x, wt, b, g
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", SIZES)
+    def test_output_and_grads_match_the_padded_formula(self, rng, stride, h, w):
+        # small integers make every sum exact in any order, so the output and
+        # all gradients must equal the padded formula's exactly; with one tap
+        # alone in the weight the output is that tap's window, border included
+        x, _, b, g = (np.round(4.0 * a) for a in self.draw(rng, h, w, stride))
+        for ky in range(3):
+            for kx in range(3):
+                wt = np.zeros((2, 3, 3, 3))
+                wt[:, :, ky, kx] = rng.integers(-4, 5, (2, 3))
+                out, grads = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=stride),
+                                                [x, wt, b], g)
+                want_out, want_grads = conv2d_padded(x, wt, b, stride, g)
+                np.testing.assert_array_equal(out, want_out, err_msg=f"tap {ky, kx}")
+                for got, want in zip(grads, want_grads):
+                    np.testing.assert_array_equal(got, want, err_msg=f"tap {ky, kx}")
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", SIZES)
+    def test_output_and_grads_match_six_loops(self, rng, stride, h, w):
+        x, wt, b, g = self.draw(rng, h, w, stride)
         out, grads = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=stride), [x, wt, b], g)
-        want_out, want_grads = conv2d_padded(x, wt, b, stride, g)
-        assert_same_bits(out, want_out)
-        for got, want in zip(grads, want_grads):
-            assert_same_bits(got, np.ascontiguousarray(want))
+        np.testing.assert_allclose(out, conv2d_loops(x, wt, b, stride=stride), rtol=0, atol=1e-12)
+        for got, want in zip(grads, conv2d_grads_loops(x, wt, g, stride=stride)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTapeHoldsOnlyWhatBackwardReads:
@@ -257,14 +275,19 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         assert result.requires_grad and len(T._tape) > 0
         return held
 
-    def test_conv2d_keeps_the_im2col_matrix_and_output_but_no_padded_copy(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_keeps_the_phase_maps_and_output(self, rng, stride):
         c, h, w = 8, 32, 32
         x = leaf(rng, c, h, w)
         wt = leaf(rng, c, c, 3, 3)
-        held = self.held_bytes(lambda: T.conv2d(x, wt))
-        cols, out = c * 9 * h * w * 8, c * h * w * 8
-        # the padded copy would add c * (h + 2) * (w + 2) * 8 = 73,984 bytes
-        assert held <= cols + out + 4096, held
+        held = self.held_bytes(lambda: T.conv2d(x, wt, stride=stride))
+        oh, ow = h // stride, w // stride
+        side = 2 // stride  # a phase map's extra rows and columns, and its zero tail
+        maps = stride * stride * c * ((oh + side) * (ow + side) + side) * 8
+        out = c * oh * ow * 8
+        # about the input's size: the bound leaves no room for an im2col
+        # matrix, 9x the input at stride 1 and 2.25x at stride 2
+        assert held <= maps + out + 4096, held
         T.tape_clear()
 
     def test_conv2d_drops_an_input_that_needs_no_gradient(self, rng):
