@@ -34,11 +34,15 @@ def uniform_init(rng, fan_in, shape):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _weight(rng, d_in, d_out, heads=1):
+    """[d_in, d_out], one column block per head drawn in turn, as per-head weights would be."""
+    w = uniform_init(rng, d_in, (heads, d_in, d_out // heads))
+    return T.parameter(w.transpose(1, 0, 2).reshape(d_in, d_out))
+
+
 class Linear:
     def __init__(self, rng, d_in, d_out, heads=1):
-        # one column block per head, drawn in turn: what one Linear per head would draw
-        w = uniform_init(rng, d_in, (heads, d_in, d_out // heads))
-        self.w = T.parameter(w.transpose(1, 0, 2).reshape(d_in, d_out))
+        self.w = _weight(rng, d_in, d_out, heads)
         self.b = T.parameter(np.zeros(d_out))
 
     def __call__(self, x):
@@ -67,7 +71,8 @@ def scaled_dot_attention(q, k_t, v):
 
 class MultiHeadAttention:
     """Fused Q/K/V projections (head h: column block h), per-head scaled-dot
-    attention, concat, output projection.
+    attention, concat, output projection. The keys have no bias: it would add
+    one constant to each query's row of logits, which the softmax removes.
 
     Without gradient recording, cross-attention keeps the per-head K/V of the
     last ``x_kv`` object and reuses them while it is passed again. They are a
@@ -78,7 +83,7 @@ class MultiHeadAttention:
     def __init__(self, cfg, rng):
         self.cfg = cfg
         self.q_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
-        self.k_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
+        self.k_weight = _weight(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
         self.v_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_v, cfg.heads)
         self.out = Linear(rng, cfg.heads * cfg.d_v, cfg.d_model)
         self._kv = (None, None)  # (last no-grad cross-attention x_kv, its project_kv)
@@ -86,12 +91,12 @@ class MultiHeadAttention:
     def project_kv(self, x_kv):
         """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
         cfg = self.cfg
-        k_t = T.split(T.transpose(self.k_proj(x_kv), (1, 0)), [cfg.d_k] * cfg.heads)
+        k_t = T.split(T.transpose(T.matmul(x_kv, self.k_weight)), [cfg.d_k] * cfg.heads)
         return list(zip(k_t, T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)))
 
     def kv_cost(self, n_kv):
         """Layers of ``project_kv`` on ``n_kv`` tokens."""
-        return self.k_proj.cost(n_kv) + self.v_proj.cost(n_kv)
+        return [LinearCost(n_kv, *self.k_weight.shape)] + self.v_proj.cost(n_kv)
 
     def __call__(self, x_q, x_kv):
         """Attend from ``x_q`` to ``x_kv``; self-attention when they are one tensor."""
@@ -110,7 +115,7 @@ class MultiHeadAttention:
                 + self.out.cost(n_q))
 
     def params(self, prefix):
-        return (self.q_proj.params(f"{prefix}.q") + self.k_proj.params(f"{prefix}.k")
+        return (self.q_proj.params(f"{prefix}.q") + [(f"{prefix}.k.w", self.k_weight)]
                 + self.v_proj.params(f"{prefix}.v") + self.out.params(f"{prefix}.out"))
 
 

@@ -31,7 +31,8 @@ MAGIC = b"RPCK"
 # 2: one fused Q, K and V projection per attention block
 # 3: no out_channels or scene_radius in the config meta: both are code constants
 # 4: parameters only: the conv blocks' norm keeps no running statistics
-VERSION = 4
+# 5: conv weights tap-major [c_out, 3, 3, c_in]; no conv-block or key biases
+VERSION = 5
 
 
 def save_checkpoint(path, model, step=0):

@@ -101,47 +101,50 @@ class ModelConfig:
         return (self.height * self.width) // s
 
 
-class Conv3x3:
+class _Conv:
+    """A 3x3 conv weight, tap-major [c_out, 3, 3, c_in] as conv2d reads it, and a stride."""
+
+    def __init__(self, rng, c_in, c_out, stride):
+        w = uniform_init(rng, c_in * 9, (c_out, c_in, 3, 3))  # the draw, reordered once
+        self.w, self.stride = T.parameter(w.transpose(0, 2, 3, 1)), stride
+
+    def cost(self, h, w):
+        """The convolution of one call on an h x w map."""
+        c_out, c_in = self.w.shape[0], self.w.shape[3]
+        return [ConvCost(h // self.stride, w // self.stride, c_in, c_out)]
+
+
+class Conv3x3(_Conv):
     """Bare 3x3 convolution, linear output (image taps and heads)."""
 
     def __init__(self, rng, c_in, c_out, stride=1):
-        self.w = T.parameter(uniform_init(rng, c_in * 9, (c_out, c_in, 3, 3)))
+        super().__init__(rng, c_in, c_out, stride)
         self.b = T.parameter(np.zeros(c_out))
-        self.stride = stride
 
     def __call__(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride)
-
-    def cost(self, h, w):
-        """The layer of one call on an h x w map."""
-        c_out, c_in = self.w.shape[:2]
-        return [ConvCost(h // self.stride, w // self.stride, c_in, c_out)]
 
     def params(self, prefix):
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
 
-class ConvBlock:
-    """3x3 convolution, instance norm, leaky-ReLU.
-
-    The norm uses the statistics of the one map it is given, in training and
-    at inference alike, so the block holds parameters only.
-    """
+class ConvBlock(_Conv):
+    """3x3 convolution, instance norm, leaky-ReLU. The norm uses the statistics
+    of the one map it is given, in training and at inference alike, so the block
+    holds parameters only. The conv has no bias: the norm takes out a channel's mean."""
 
     def __init__(self, rng, c_in, c_out, stride=1):
-        self.conv = Conv3x3(rng, c_in, c_out, stride)
+        super().__init__(rng, c_in, c_out, stride)
         self.gamma = T.parameter(np.ones(c_out))
         self.beta = T.parameter(np.zeros(c_out))
 
     def __call__(self, x):
-        return T.leaky_relu(T.instance_norm(self.conv(x), self.gamma, self.beta))
-
-    def cost(self, h, w):
-        return self.conv.cost(h, w)
+        x = T.conv2d(x, self.w, stride=self.stride)
+        return T.leaky_relu(T.instance_norm(x, self.gamma, self.beta))
 
     def params(self, prefix):
-        return self.conv.params(prefix + ".conv") + [
-            (prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
+        return [(prefix + ".conv.w", self.w), (prefix + ".gamma", self.gamma),
+                (prefix + ".beta", self.beta)]
 
 
 def _conv_channels(cfg):
@@ -169,15 +172,12 @@ class Encoder:
         for image, intr, pose in views:
             rays = ray_feature_map(intr, pose, cfg.height, cfg.width,
                                    cfg.n_freq_origin, cfg.n_freq_dir)
-            if isinstance(image, T.Tensor):  # differentiable input path
-                x = T.concat([image, T.Tensor(rays)], axis=0)
-            else:
-                x = T.Tensor(np.concatenate([np.asarray(image, dtype=np.float64), rays]))
+            x = T.Tensor(np.concatenate([np.asarray(image, dtype=np.float64), rays]))
             with flops.stage("encoder_conv"):
                 for conv in self.convs:
                     x = conv(x)
             c, hh, ww = x.shape
-            tokens.append(T.transpose(T.reshape(x, (c, hh * ww)), (1, 0)))
+            tokens.append(T.transpose(T.reshape(x, (c, hh * ww))))
         z = tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
         with flops.stage("encoder_attn"):
             for blk in self.blocks:
@@ -268,7 +268,7 @@ class RayPatchDecoder(_QueryDecoder):
         cfg = self.cfg
         feats = self._attend(z, intrinsics, pose, self.feature_head)
         with flops.stage("decoder_cnn"):
-            fmap = T.reshape(T.transpose(feats, (1, 0)),
+            fmap = T.reshape(T.transpose(feats),
                              (cfg.feature_channels, cfg.height // cfg.k, cfg.width // cfg.k))
             acc = None
             for tap, body in zip(self.taps, self.body):
@@ -314,8 +314,7 @@ class PixelDecoder(_QueryDecoder):
         cfg = self.cfg
         out = self._attend(z, intrinsics, pose,
                            lambda x: self.head2(T.leaky_relu(self.head1(x))))
-        return T.reshape(T.transpose(out, (1, 0)),
-                         (OUT_CHANNELS, cfg.height, cfg.width))
+        return T.reshape(T.transpose(out), (OUT_CHANNELS, cfg.height, cfg.width))
 
     def params(self):
         return super().params() + self.head1.params("dec.head1") + self.head2.params("dec.head2")

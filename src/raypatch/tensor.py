@@ -36,8 +36,8 @@ Design:
 
 The op set is exactly what the patch-ray model needs: matrix product,
 row softmax, layer norm, instance norm (each channel of one [c, h, w] map
-normalized with its own statistics), 3x3 convolution (stride 1 or 2), 2x
-nearest and bilinear upsampling, and elementwise glue.
+normalized with its own statistics), 3x3 convolution (stride 1 or 2; w is
+[c_out, 3, 3, c_in]), 2x nearest and bilinear upsampling, and elementwise glue.
 
 Allocator: importing this module (so importing ``raypatch``) sets glibc's
 ``mallopt`` thresholds for the whole process: arrays up to 32 MiB come from
@@ -399,14 +399,12 @@ def reshape(x, shape):
     return out
 
 
-def transpose(x, axes):
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise DimensionError(f"transpose axes {axes} invalid for rank {x.data.ndim}")
+def transpose(x):
+    if x.data.ndim != 2:
+        raise DimensionError(f"transpose expects rank 2, got {x.data.ndim}")
     sx = x._slot
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=sx is not None)
-    inverse = tuple(np.argsort(axes))
-    _record(out, lambda g: _accumulate(sx, np.ascontiguousarray(g.transpose(inverse))))
+    out = Tensor(np.ascontiguousarray(x.data.T), requires_grad=sx is not None)
+    _record(out, lambda g: _accumulate(sx, np.ascontiguousarray(g.T)))
     return out
 
 
@@ -610,7 +608,7 @@ def _tap_runs(stride, pw, c_in):
 
 
 def conv2d(x, w, b=None, stride=1):
-    """3x3 convolution of [c_in, h, w] with [c_out, c_in, 3, 3], zero padding 1.
+    """3x3 convolution of [c_in, h, w] with [c_out, 3, 3, c_in], zero padding 1.
 
     Stride 1 keeps the spatial size; stride 2 halves it (ceil). The input is
     zero-padded once into stride x stride phase maps: map (py, px) holds the
@@ -618,7 +616,8 @@ def conv2d(x, w, b=None, stride=1):
     ..., as [c_in, oh + 2 // stride, pw] with pw = ow + 2 // stride, stored
     flat with a zero tail of 2 // stride. On an output grid pw columns wide,
     tap (ky, kx) reads one contiguous window of one map, so the output is the
-    sum over the taps of ``w[:, :, ky, kx] @ window``, cropped to ow columns.
+    sum over the taps of ``w[:, ky, kx, :] @ window``, cropped to ow columns.
+    The weight is tap-major, so its [c_out, 9 * c_in] view is read uncopied.
     Taps that share a window offset and read consecutive maps (stride 2: kx
     = 0 and 1) are one product over the stacked maps, so stride 1 runs 9
     BLAS products and stride 2 runs 6, and no im2col matrix is built. The
@@ -627,15 +626,15 @@ def conv2d(x, w, b=None, stride=1):
     ``ConvCost`` prices.
 
     Backward reads the same windows. With ``g`` widened to the grid by zero
-    columns, ``dW[:, :, ky, kx] = g @ window.T``, and ``w[:, :, ky, kx].T @ g``
+    columns, ``dW[:, ky, kx, :] = g @ window.T``, and ``w[:, ky, kx, :].T @ g``
     is added into the window of the maps' gradient, out of which ``x``'s is
     read. The tape record keeps the phase maps (about the size of ``x``) only
     for the weight gradient and the weight only for the input gradient; it
     keeps neither ``x`` nor the output.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
-        raise DimensionError("conv2d expects x[c,h,w], w[c_out,c_in,3,3]")
-    c_out, c_in, kh, kw = w.shape
+        raise DimensionError("conv2d expects x[c,h,w], w[c_out,3,3,c_in]")
+    c_out, kh, kw, c_in = w.shape
     if (kh, kw) != (3, 3):
         raise DimensionError("conv2d kernel must be 3x3")
     if c_in != x.shape[0]:
@@ -645,8 +644,7 @@ def conv2d(x, w, b=None, stride=1):
     if b is not None and b.shape != (c_out,):
         raise DimensionError("conv2d bias must be [c_out]")
     h, wd = x.shape[1], x.shape[2]
-    oh = (h - 1) // stride + 1
-    ow = (wd - 1) // stride + 1
+    oh, ow = (h - 1) // stride + 1, (wd - 1) // stride + 1
     ph, pw = oh + 2 // stride, ow + 2 // stride
     n = oh * pw
     maps_shape = (stride * stride * c_in, ph * pw + 2 // stride)
@@ -665,8 +663,7 @@ def conv2d(x, w, b=None, stride=1):
         grid[:, :, :c_dst.start] = 0.0
         grid[:, :, c_dst.stop:] = 0.0
     runs = _tap_runs(stride, pw, c_in)
-    # column (3 * ky + kx) * c_in + ci: the one reordering of w that copies fast
-    w_cols = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(c_out, 9 * c_in)
+    w_cols = w.data.reshape(c_out, 9 * c_in)  # column (3 * ky + kx) * c_in + ci
     (cols, rows, off), *rest = runs
     acc = w_cols[:, cols] @ maps[rows, off:off + n]
     for cols, rows, off in rest:
@@ -678,7 +675,7 @@ def conv2d(x, w, b=None, stride=1):
     out = Tensor(out_data, requires_grad=sx is not None or sw is not None or sb is not None)
     flops.add_flops(2.0 * c_out * c_in * 9 * oh * ow)
     maps_kept = maps if sw is not None else None
-    w_kept = w.data if sx is not None else None
+    w_kept = w_cols if sx is not None else None  # a view of w.data
 
     def bwd(g):
         if sb is not None:
@@ -690,13 +687,11 @@ def conv2d(x, w, b=None, stride=1):
             dw_cols = np.empty((c_out, 9 * c_in), dtype=np.float64)
             for cols, rows, off in runs:
                 np.matmul(g_ext, maps_kept[rows, off:off + n].T, out=dw_cols[:, cols])
-            dw = dw_cols.reshape(c_out, 3, 3, c_in).transpose(0, 3, 1, 2).copy()
-            _accumulate(sw, dw, owned=True)
+            _accumulate(sw, dw_cols.reshape(c_out, 3, 3, c_in), owned=True)
         if sx is not None:
-            w_cols = np.ascontiguousarray(w_kept.transpose(0, 2, 3, 1)).reshape(c_out, 9 * c_in)
             dmaps = np.zeros(maps_shape, dtype=np.float64)
             for cols, rows, off in runs:
-                dmaps[rows, off:off + n] += w_cols[:, cols].T @ g_ext
+                dmaps[rows, off:off + n] += w_kept[:, cols].T @ g_ext
             dgrids = dmaps[:, :ph * pw].reshape(stride * stride, c_in, ph, pw)
             dx = np.empty((c_in, h, wd), dtype=np.float64)
             for m, (r_dst, r_src), (c_dst, c_src) in cuts:

@@ -72,7 +72,8 @@ def instance_norm_naive(x, gamma, beta, eps=1e-5):
 
 
 def conv2d_loops(x, w, b=None, stride=1):
-    """Direct 6-loop 3x3 convolution, zero padding 1."""
+    """Direct 6-loop 3x3 convolution of x [c_in, h, w] with w [c_out, 3, 3, c_in],
+    zero padding 1."""
     c_in, h, wd = x.shape
     c_out = w.shape[0]
     oh = (h - 1) // stride + 1
@@ -88,7 +89,7 @@ def conv2d_loops(x, w, b=None, stride=1):
                             iy = oy * stride + ky - 1
                             ix = ox * stride + kx - 1
                             if 0 <= iy < h and 0 <= ix < wd:
-                                acc += x[ci, iy, ix] * w[co, ci, ky, kx]
+                                acc += x[ci, iy, ix] * w[co, ky, kx, ci]
                 out[co, oy, ox] = acc
         if b is not None:
             out[co] += b[co]
@@ -110,8 +111,8 @@ def conv2d_grads_loops(x, w, g, stride=1):
                             iy = oy * stride + ky - 1
                             ix = ox * stride + kx - 1
                             if 0 <= iy < h and 0 <= ix < wd:
-                                dx[ci, iy, ix] += g[co, oy, ox] * w[co, ci, ky, kx]
-                                dw[co, ci, ky, kx] += g[co, oy, ox] * x[ci, iy, ix]
+                                dx[ci, iy, ix] += g[co, oy, ox] * w[co, ky, kx, ci]
+                                dw[co, ky, kx, ci] += g[co, oy, ox] * x[ci, iy, ix]
     return dx, dw, g.sum(axis=(1, 2))
 
 

@@ -62,7 +62,8 @@ class TestMultiHeadAttention:
         cfg = B.MhaConfig(d_model=6, heads=1, d_k=6, d_v=6)
         mha = B.MultiHeadAttention(cfg, rng)
         eye = np.eye(6)
-        for lin in (mha.q_proj, mha.k_proj, mha.v_proj, mha.out):
+        mha.k_weight.data[...] = eye
+        for lin in (mha.q_proj, mha.v_proj, mha.out):
             lin.w.data[...] = eye
             lin.b.data[...] = 0.0
         xq = Tensor(rng.standard_normal((4, 6)))
@@ -79,21 +80,21 @@ class TestMultiHeadAttention:
     def test_heads_match_per_head_loop(self, rng):
         # recompute each head by hand from its column block of the fused projections
         mha = B.MultiHeadAttention(CFG, rng)
-        for lin in (mha.q_proj, mha.k_proj, mha.v_proj):  # nonzero biases, to see their blocks
+        for lin in (mha.q_proj, mha.v_proj):  # nonzero biases, to see their blocks
             lin.b.data[...] = rng.standard_normal(lin.b.shape)
         xq = Tensor(rng.standard_normal((3, 16)))
         xkv = Tensor(rng.standard_normal((6, 16)))
         got = mha(xq, xkv).data
 
-        def head(lin, x, h, d):
+        def head(w, b, x, h, d):
             cols = slice(h * d, (h + 1) * d)
-            return x.data @ lin.w.data[:, cols] + lin.b.data[cols]
+            return x.data @ w.data[:, cols] + (0.0 if b is None else b.data[cols])
 
         heads = []
         for h in range(CFG.heads):
-            q = head(mha.q_proj, xq, h, CFG.d_k)
-            k = head(mha.k_proj, xkv, h, CFG.d_k)
-            v = head(mha.v_proj, xkv, h, CFG.d_v)
+            q = head(mha.q_proj.w, mha.q_proj.b, xq, h, CFG.d_k)
+            k = head(mha.k_weight, None, xkv, h, CFG.d_k)
+            v = head(mha.v_proj.w, mha.v_proj.b, xkv, h, CFG.d_v)
             heads.append(attention_single_head_naive(q, k, v))
         want = np.concatenate(heads, axis=1) @ mha.out.w.data + mha.out.b.data
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -102,8 +103,8 @@ class TestMultiHeadAttention:
     def test_four_projections_whatever_the_head_count(self, rng, heads):
         mha = B.MultiHeadAttention(B.MhaConfig(d_model=8, heads=heads, d_k=4, d_v=5), rng)
         assert [n for n, _ in mha.params("m")] == [
-            "m.q.w", "m.q.b", "m.k.w", "m.k.b", "m.v.w", "m.v.b", "m.out.w", "m.out.b"]
-        assert mha.q_proj.w.shape == mha.k_proj.w.shape == (8, heads * 4)
+            "m.q.w", "m.q.b", "m.k.w", "m.v.w", "m.v.b", "m.out.w", "m.out.b"]
+        assert mha.q_proj.w.shape == mha.k_weight.shape == (8, heads * 4)
         assert mha.v_proj.w.shape == (8, heads * 5)
 
     def test_weights_are_drawn_one_head_at_a_time(self):
@@ -112,10 +113,10 @@ class TestMultiHeadAttention:
         cfg = B.MhaConfig(d_model=6, heads=3, d_k=4, d_v=2)
         mha = B.MultiHeadAttention(cfg, np.random.default_rng(5))
         stream = np.random.default_rng(5)
-        for lin, d in ((mha.q_proj, cfg.d_k), (mha.k_proj, cfg.d_k), (mha.v_proj, cfg.d_v)):
+        for w, d in ((mha.q_proj.w, cfg.d_k), (mha.k_weight, cfg.d_k), (mha.v_proj.w, cfg.d_v)):
             for h in range(cfg.heads):
                 want = B.uniform_init(stream, cfg.d_model, (cfg.d_model, d))
-                np.testing.assert_array_equal(lin.w.data[:, h * d:(h + 1) * d], want)
+                np.testing.assert_array_equal(w.data[:, h * d:(h + 1) * d], want)
         np.testing.assert_array_equal(
             mha.out.w.data, B.uniform_init(stream, cfg.heads * cfg.d_v, (cfg.heads * cfg.d_v, 6)))
 
@@ -146,7 +147,7 @@ class TestKeptKV:
         xq, kv = Tensor(rng.standard_normal((3, 16))), rng.standard_normal((6, 16))
         with T.no_grad():
             first, full = self._counted(mha, xq, Tensor(kv))
-            mha.k_proj.w.data += 1.0  # a new x_kv must see new weights
+            mha.k_weight.data += 1.0  # a new x_kv must see new weights
             other, again = self._counted(mha, xq, Tensor(kv.copy()))
         assert again == full
         assert not np.array_equal(other.data, first.data)
@@ -161,8 +162,8 @@ class TestKeptKV:
         T.backward(sum_all(out))
         assert recorded == full
         np.testing.assert_array_equal(out.data, first.data)
-        for lin in (mha.k_proj, mha.v_proj):
-            assert lin.w.grad is not None and lin.b.grad is not None
+        assert mha.k_weight.grad is not None
+        assert mha.v_proj.w.grad is not None and mha.v_proj.b.grad is not None
 
     def test_self_attention_projects_on_every_call(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)

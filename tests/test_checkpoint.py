@@ -58,6 +58,19 @@ def test_rejects_wrong_version(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+def test_refuses_a_version_4_file(tmp_path):
+    # version 4 stored conv weights [c_out, c_in, 3, 3] and the biases the
+    # conv blocks' norm and the keys' softmax cancel
+    m = M.LightFieldModel(small_cfg(), "raypatch")
+    path = tmp_path / "m.rpck"
+    ckpt.save_checkpoint(path, m)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="not an RPCK file of version 5 .*version 4"):
+        ckpt.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("step", [-1, 2.5, True, "3"])
 def test_save_refuses_a_step_load_would_refuse(tmp_path, step):
     path = tmp_path / "m.rpck"

@@ -218,7 +218,7 @@ class TestBadInvocations:
                 meta = dict(meta, step=step, config=dict(meta["config"], **config))
                 binfile.write_header(dst, ckpt.MAGIC, ckpt.VERSION, meta)
                 dst.write(src.read())
-        # the same body behind the header of the previous format version
+        # the same body behind the header of an older format version
         paths["v3_ck"] = d / "v3.rpck"
         with open(paths["ck"], "rb") as src, open(paths["v3_ck"], "wb") as dst:
             meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
@@ -329,9 +329,9 @@ class TestBadInvocations:
         "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
         "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
         "verify_version_3": (["verify-ckpt", "--checkpoint", "{v3_ck}"],
-                             "{v3_ck}: not an RPCK file of version 4"),
+                             "{v3_ck}: not an RPCK file of version 5"),
         "render_version_3": (RENDER + ["{v3_ck}", "--dataset", "{ds}"],
-                             "{v3_ck}: not an RPCK file of version 4"),
+                             "{v3_ck}: not an RPCK file of version 5"),
         "verify_zero_height": (["verify-ckpt", "--checkpoint", "{h0_ck}"],
                                "{h0_ck}: height must be at least 1"),
         "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],

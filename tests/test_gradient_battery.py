@@ -26,7 +26,7 @@ def _op_cases(rng):
     """(name, f, leaf) triples where f(leaf) is a scalar through one op."""
     w = T.Tensor(rng.standard_normal((6, 4)))
     bias = T.Tensor(rng.standard_normal(4))
-    conv_w = T.Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.3)
+    conv_w = T.Tensor(rng.standard_normal((3, 3, 3, 2)) * 0.3)
     gamma = T.Tensor(rng.uniform(0.5, 1.5, 8))
     beta = T.Tensor(rng.standard_normal(8))
     in_gamma, in_beta = T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))
@@ -108,18 +108,15 @@ def _model_cases(rng, seed):
         model = M.LightFieldModel(cfg, kind)
         named = dict(model.named_parameters())
 
-        def loss_given(image, model=model):
-            z = model.encode([(image, views[0].intrinsics, views[0].pose)])
+        def loss_fixed(_leaf, model=model):
+            # the leaf under test lives inside the model; the input stays put
+            z = model.encode([(views[0].image, views[0].intrinsics, views[0].pose)])
             out = model.decode(z, target.intrinsics, target.pose)
             total, _ = M.loss_total(out, target.image, target.depth)
             return total
 
-        def loss_fixed(_leaf, loss_given=loss_given):
-            # the leaf under test lives inside the model; the input stays put
-            return loss_given(views[0].image)
-
-        cases.append((f"{kind}_input_image", loss_given,
-                      T.parameter(views[0].image.astype(np.float64))))
+        # the first conv's offset reaches the loss through conv1's input gradient
+        cases.append((f"{kind}_conv0_beta", loss_fixed, named["enc.conv0.beta"]))
         cases.append((f"{kind}_embed_bias", loss_fixed, named["dec.embed.b"]))
         head = "dec.final.b" if kind == "raypatch" else "dec.head2.b"
         cases.append((f"{kind}_head_bias", loss_fixed, named[head]))

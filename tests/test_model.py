@@ -13,6 +13,7 @@ from raypatch import datasynth as ds
 from raypatch import flops
 from raypatch import model as M
 from raypatch import tensor as T
+from raypatch.blocks import uniform_init
 from raypatch.costmodel import full_model_flops
 
 from reference_impls import grad_check
@@ -151,8 +152,15 @@ class TestForward:
     def test_decoder_variants_share_encoder_init(self):
         a = M.LightFieldModel(tiny_cfg(), "raypatch")
         b = M.LightFieldModel(tiny_cfg(), "pixel")
-        np.testing.assert_array_equal(a.encoder.convs[0].conv.w.data,
-                                      b.encoder.convs[0].conv.w.data)
+        np.testing.assert_array_equal(a.encoder.convs[0].w.data, b.encoder.convs[0].w.data)
+
+    @pytest.mark.parametrize("conv", [M.Conv3x3, M.ConvBlock])
+    def test_conv_weight_is_the_oihw_draw_stored_tap_major(self, conv):
+        # the same values as a [c_out, c_in, 3, 3] draw, in conv2d's layout
+        got = conv(np.random.default_rng(4), 3, 5, stride=2).w.data
+        want = uniform_init(np.random.default_rng(4), 9 * 3, (5, 3, 3, 3)).transpose(0, 2, 3, 1)
+        assert got.shape == (5, 3, 3, 3) and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestReusedKV:
@@ -306,19 +314,34 @@ class TestGradients:
             err = grad_check(f, named[name], step=1e-5)
             assert err <= 1e-4, f"{name}: rel err {err}"
 
-    def test_end_to_end_gradcheck_input_image(self):
+    def test_end_to_end_gradcheck_first_conv_beta(self):
+        # conv0's offset reaches the loss only through conv1's input gradient
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
-        views = scene_views()
-        img = T.parameter(views[0].image.astype(np.float64))
-        targets = views[1:]
+        f = self._loss_fn(m, scene_views())
+        assert grad_check(f, dict(m.named_parameters())["enc.conv0.beta"], step=1e-5) <= 1e-4
 
-        def f(leaf):
-            z = m.encode([(leaf, views[0].intrinsics, views[0].pose)])
-            out = m.decode(z, targets[0].intrinsics, targets[0].pose)
-            total, _ = M.loss_total(out, targets[0].image, targets[0].depth)
-            return total
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_every_parameter_acts(self, kind):
+        # a parameter the math cancels (a conv bias under instance norm, a
+        # key bias under softmax) moves the output by rounding error only
+        m = M.LightFieldModel(tiny_cfg(), kind)
+        inputs, targets = M.scene_to_views(scene_views())
+        t = targets[0]
 
-        assert grad_check(f, img, step=1e-5) <= 1e-4
+        def render():
+            with T.no_grad():  # encode again: the kept K/V are a snapshot
+                return m.decode(m.encode(inputs), t.intrinsics, t.pose).data
+
+        base = render()
+        rng = np.random.default_rng(3)
+        idle = []
+        for name, p in m.named_parameters():
+            saved = p.data.copy()
+            p.data += 0.1 * rng.standard_normal(p.shape)
+            if np.abs(render() - base).max() <= 1e-6:
+                idle.append(name)
+            p.data[...] = saved
+        assert idle == []
 
 
 class TestGradientHandOver:

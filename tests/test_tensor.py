@@ -168,14 +168,14 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_against_six_loops(self, rng, stride):
         x = rng.standard_normal((2, 5, 6))
-        w = rng.standard_normal((3, 2, 3, 3))
+        w = rng.standard_normal((3, 3, 3, 2))
         b = rng.standard_normal(3)
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
         np.testing.assert_allclose(got, conv2d_loops(x, w, b, stride=stride), atol=1e-12)
 
     def test_stride2_output_is_ceil_half(self, rng):
         x = Tensor(rng.standard_normal((1, 7, 10)))
-        w = Tensor(rng.standard_normal((4, 1, 3, 3)))
+        w = Tensor(rng.standard_normal((4, 3, 3, 1)))
         out = T.conv2d(x, w, stride=2)
         assert out.shape == (4, 4, 5)
 
@@ -184,14 +184,14 @@ class TestConv2d:
         x = rng.standard_normal((3, 6, 6))
         w = np.zeros((3, 3, 3, 3))
         for c in range(3):
-            w[c, c, 1, 1] = 1.0
+            w[c, 1, 1, c] = 1.0
         got = T.conv2d(Tensor(x), Tensor(w)).data
         np.testing.assert_array_equal(got, x)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_grads(self, rng, stride):
         x = leaf(rng, 2, 4, 5)
-        w = leaf(rng, 3, 2, 3, 3)
+        w = leaf(rng, 3, 3, 3, 2)
         b = leaf(rng, 3)
         for t, f in [
             (x, lambda t: sum_all(T.conv2d(t, w, b, stride=stride))),
@@ -212,9 +212,9 @@ def conv2d_padded(x, w, b, stride, g):
         for kx in range(3):
             window = (slice(None), slice(ky, ky + stride * oh, stride),
                       slice(kx, kx + stride * ow, stride))
-            out += np.einsum("oc,chw->ohw", w[:, :, ky, kx], xp[window])
-            dw[:, :, ky, kx] = np.einsum("ohw,chw->oc", g, xp[window])
-            dxp[window] += np.einsum("oc,ohw->chw", w[:, :, ky, kx], g)
+            out += np.einsum("oc,chw->ohw", w[:, ky, kx, :], xp[window])
+            dw[:, ky, kx, :] = np.einsum("ohw,chw->oc", g, xp[window])
+            dxp[window] += np.einsum("oc,ohw->chw", w[:, ky, kx, :], g)
     return out, [dxp[:, 1:-1, 1:-1], dw, g.sum(axis=(1, 2))]
 
 
@@ -241,7 +241,7 @@ class TestConv2dBitEqual:
         for ky in range(3):
             for kx in range(3):
                 wt = np.zeros((2, 3, 3, 3))
-                wt[:, :, ky, kx] = rng.integers(-4, 5, (2, 3))
+                wt[:, ky, kx, :] = rng.integers(-4, 5, (2, 3))
                 out, grads = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=stride),
                                                 [x, wt, b], g)
                 want_out, want_grads = conv2d_padded(x, wt, b, stride, g)
@@ -279,7 +279,7 @@ class TestTapeHoldsOnlyWhatBackwardReads:
     def test_conv2d_keeps_the_phase_maps_and_output(self, rng, stride):
         c, h, w = 8, 32, 32
         x = leaf(rng, c, h, w)
-        wt = leaf(rng, c, c, 3, 3)
+        wt = leaf(rng, c, 3, 3, c)
         held = self.held_bytes(lambda: T.conv2d(x, wt, stride=stride))
         oh, ow = h // stride, w // stride
         side = 2 // stride  # a phase map's extra rows and columns, and its zero tail
@@ -290,12 +290,30 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         assert held <= maps + out + 4096, held
         T.tape_clear()
 
+    def test_conv2d_reads_the_weight_in_place(self, rng):
+        # on a 1x1 input every other array is small: the forward allocates
+        # nothing of the weight's size and the backward one array, dW
+        tracemalloc = pytest.importorskip("tracemalloc")
+        x, wt = leaf(rng, 64, 1, 1), leaf(rng, 64, 3, 3, 64)
+        T.tape_clear()
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, wt, stride=2)
+            forward = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            T.backward(sum_all(out))
+            backward = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward < 0.25 * wt.data.nbytes, forward
+        assert backward < 1.25 * wt.data.nbytes, backward
+
     def test_conv2d_drops_an_input_that_needs_no_gradient(self, rng):
         data = rng.standard_normal((5, 12, 12))
         alive = weakref.ref(data)
         x = Tensor(data)
         del data
-        wt = leaf(rng, 4, 5, 3, 3)
+        wt = leaf(rng, 4, 3, 3, 5)
         T.tape_clear()
         out = T.conv2d(x, wt)
         del x
@@ -336,7 +354,7 @@ _LIVENESS = {
     "split": (lambda x: T.concat(T.split(x, [1, 3], axis=1)[::-1], axis=1),
               [((3, 4), True)], (False,), None),
     "reshape": (lambda x: T.reshape(x, (4, 3)), [((3, 4), True)], (False,), False),
-    "transpose": (lambda x: T.transpose(x, (1, 0)), [((3, 4), True)], (False,), False),
+    "transpose": (T.transpose, [((3, 4), True)], (False,), False),
     "matmul": (T.matmul, [((3, 4), True), ((4, 2), True)], (True, True), False),
     "matmul_scaled": (lambda a, b: T.matmul(a, b, scale=0.5),
                       [((3, 4), True), ((4, 2), True)], (True, True), False),
@@ -352,9 +370,9 @@ _LIVENESS = {
     "instance_norm": (T.instance_norm, [((2, 3, 4), True), ((2,), True), ((2,), True)],
                       (False, True, False), False),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2),
-               [((2, 5, 6), True), ((3, 2, 3, 3), True), ((3,), True)],
+               [((2, 5, 6), True), ((3, 3, 3, 2), True), ((3,), True)],
                (False, True, False), False),
-    "conv2d_of_constant": (T.conv2d, [((2, 5, 6), False), ((3, 2, 3, 3), True), ((3,), True)],
+    "conv2d_of_constant": (T.conv2d, [((2, 5, 6), False), ((3, 3, 3, 2), True), ((3,), True)],
                            (False, False, False), False),
     "upsample_nearest2x": (T.upsample_nearest2x, [((2, 3, 4), True)], (False,), False),
     "upsample_bilinear2x": (T.upsample_bilinear2x, [((2, 3, 4), True)], (False,), False),
@@ -517,6 +535,10 @@ class TestElementwise:
         with pytest.raises(T.DimensionError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
+    def test_transpose_is_rank_2(self):
+        with pytest.raises(T.DimensionError, match="rank 2"):
+            T.transpose(Tensor(np.zeros((2, 3, 4))))
+
     def test_scalar_ops(self, rng):
         x = rng.standard_normal((3, 3))
         np.testing.assert_allclose(T.mul(Tensor(x), 2.0).data, 2 * x)
@@ -537,7 +559,7 @@ class TestElementwise:
             "split": lambda t: sum_all(T.mul(T.concat(
                 [T.split(t, [1, 2, 3], axis=1)[i] for i in (2, 0)], axis=1), w_split)),
             "reshape": lambda t: sum_all(T.mul(T.reshape(t, (2, 12)), w_flat)),
-            "transpose": lambda t: sum_all(T.mul(T.transpose(t, (1, 0)), w_t)),
+            "transpose": lambda t: sum_all(T.mul(T.transpose(t), w_t)),
             "linear_x": lambda t: sum_all(T.mul(T.linear(t, w_lin, bias_r), w)),
             "linear_w": lambda t: sum_all(T.mul(T.linear(x, t, bias_r), w)),
             "linear_b": lambda t: sum_all(T.mul(T.linear(x, w_lin, t), w)),
@@ -708,7 +730,7 @@ class TestFlopCounting:
     def test_conv_flops_and_stages(self, rng):
         from raypatch import flops
         x = Tensor(rng.standard_normal((2, 8, 8)))
-        w = Tensor(rng.standard_normal((4, 2, 3, 3)))
+        w = Tensor(rng.standard_normal((4, 3, 3, 2)))
         with flops.FlopCounter() as fc:
             with flops.stage("conv"):
                 T.conv2d(x, w, stride=2)
