@@ -2,30 +2,17 @@
 
 All blocks run on 2-D token matrices [n, d_model]; there is no batch axis.
 Cross-attention takes a separate key/value token set, self-attention is the
-same computation with queries and keys/values tied.
+same computation with queries and keys/values tied. A block takes the
+model's ``ModelConfig`` and reads ``d_model``, ``heads``, ``d_k`` and ``d_v``
+from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .costmodel import AttnProductCost, LinearCost
-
-
-@dataclass(frozen=True)
-class MhaConfig:
-    d_model: int
-    heads: int
-    d_k: int
-    d_v: int
-
-    def __post_init__(self):
-        for name in ("d_model", "heads", "d_k", "d_v"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"MhaConfig.{name} must be positive")
 
 
 def uniform_init(rng, fan_in, shape):

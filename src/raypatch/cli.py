@@ -364,7 +364,7 @@ def main(argv=None):
     except T.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a config too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import read_header, write_header
-from .geometry import CameraIntrinsics, CameraPose, patch_centers, PatchGrid, unproject
+from .geometry import CameraIntrinsics, CameraPose, patch_centers, unproject
 
 RIG_RADIUS = 2.5
 RIG_HEIGHT = 0.8
@@ -223,7 +223,7 @@ def shade(spec, hit_id, points):
 
 def render_view(spec, intrinsics, pose, height, width):
     """Ray-cast one view: [3, h, w] image, per-pixel depth with NaN sky."""
-    centers = patch_centers(PatchGrid(height, width, 1))  # pixel centers, row-major
+    centers = patch_centers(height, width, 1)  # pixel centers, row-major
     dirs = unproject(intrinsics, pose, centers)
     origins = np.tile(pose.origin, (dirs.shape[0], 1))
     t, hit_id = trace_rays(spec, origins, dirs)

@@ -9,17 +9,19 @@ both sides so instrumented and analytic totals stay comparable.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 _counters: list["FlopCounter"] = []
+_stages: list[str] = []  # the open stages, innermost last
 
 
 class FlopCounter:
-    """Collects FLOPs while active, optionally attributed to named stages."""
+    """Collects FLOPs while active, attributed to the innermost open stage."""
 
     def __init__(self):
         self.total = 0.0
         self.by_stage: dict[str, float] = {}
         self.query_counts: dict[str, int] = {}
-        self._stage_stack: list[str] = []
 
     def __enter__(self):
         _counters.append(self)
@@ -29,43 +31,25 @@ class FlopCounter:
         _counters.remove(self)
         return False
 
-    def _add(self, flops):
-        self.total += flops
-        if self._stage_stack:
-            name = self._stage_stack[-1]
-            self.by_stage[name] = self.by_stage.get(name, 0.0) + flops
 
-    def _count_queries(self, name, n):
-        self.query_counts[name] = self.query_counts.get(name, 0) + n
-
-
-class _Stage:
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        for c in _counters:
-            c._stage_stack.append(self.name)
-        return self
-
-    def __exit__(self, *exc):
-        for c in _counters:
-            if c._stage_stack and c._stage_stack[-1] == self.name:
-                c._stage_stack.pop()
-        return False
-
-
+@contextmanager
 def stage(name):
-    """Context manager attributing counted FLOPs to ``name`` on all active counters."""
-    return _Stage(name)
+    """Attribute the FLOPs counted inside to ``name`` on all active counters."""
+    _stages.append(name)
+    try:
+        yield
+    finally:
+        _stages.pop()
 
 
 def add_flops(flops):
     for c in _counters:
-        c._add(flops)
+        c.total += flops
+        if _stages:
+            c.by_stage[_stages[-1]] = c.by_stage.get(_stages[-1], 0.0) + flops
 
 
 def count_queries(name, n):
     """Record that a decoder issued ``n`` attention queries (for query-count audits)."""
     for c in _counters:
-        c._count_queries(name, n)
+        c.query_counts[name] = c.query_counts.get(name, 0) + n

@@ -7,9 +7,10 @@ Conventions used throughout the package:
   * a pose stores the world-from-camera rotation and the camera origin, so a
     camera-frame direction d maps to the world as R @ d.
 
-A patch grid tiles an h x w image into non-overlapping k x k squares. One
-query ray is cast through the center of each patch; for k = 1 this reduces
-to the usual one-ray-per-pixel decoding.
+A patch size k tiles an h x w image into (h/k)(w/k) non-overlapping k x k
+squares. One query ray is cast through the center of each patch; for k = 1
+this reduces to the usual one-ray-per-pixel decoding. ``ModelConfig`` checks
+that k divides h and w; the functions here take the sizes as given.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from .tensor import Tensor
 # camera origins are divided by this before Fourier encoding; every rig camera
 # sits within it, which keeps the encoding arguments within one period
 SCENE_RADIUS = 3.0
-
-
-class GridError(ValueError):
-    """Patch size incompatible with the image dimensions."""
 
 
 @dataclass(frozen=True)
@@ -50,40 +47,14 @@ class CameraPose:
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3))
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    height: int
-    width: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise GridError(f"patch size must be >= 1, got {self.k}")
-        if self.height % self.k or self.width % self.k:
-            raise GridError(f"patch size {self.k} must divide image size "
-                            f"{self.height}x{self.width}")
-
-    @property
-    def rows(self):
-        return self.height // self.k
-
-    @property
-    def cols(self):
-        return self.width // self.k
-
-    @property
-    def n_patches(self):
-        return self.rows * self.cols
-
-
-def patch_centers(grid):
-    """Pixel-space centers of all patches, [n_patches, 2] as (u, v), row-major.
+def patch_centers(height, width, k):
+    """Pixel-space centers of the k x k patches of an h x w image,
+    [(h/k)(w/k), 2] as (u, v), row-major.
 
     Patch (i, j) covers rows [i*k, (i+1)*k) and columns [j*k, (j+1)*k); its
     center sits at ((j + 0.5) * k, (i + 0.5) * k).
     """
-    k = float(grid.k)
-    jj, ii = np.meshgrid(np.arange(grid.cols), np.arange(grid.rows))
+    jj, ii = np.meshgrid(np.arange(width // k), np.arange(height // k))
     u = (jj.reshape(-1) + 0.5) * k
     v = (ii.reshape(-1) + 0.5) * k
     return np.stack([u, v], axis=1)
@@ -151,21 +122,22 @@ def _ray_channels(intrinsics, pose, pixels, f_origin, f_dir):
     return out
 
 
-def build_queries(intrinsics, pose, grid, f_origin, f_dir):
-    """Fourier-encoded (origin, direction) rows for every patch of a target view.
+def build_queries(intrinsics, pose, height, width, k, f_origin, f_dir):
+    """Fourier-encoded (origin, direction) rows for every k x k patch of a target view.
 
-    Returns a Tensor [n_patches, 6*f_origin + 6*f_dir], rows in the same
+    Returns a Tensor [(h/k)(w/k), 6*f_origin + 6*f_dir], rows in the same
     row-major patch order as ``patch_centers``. The origin is divided by
     ``SCENE_RADIUS`` before encoding.
     """
-    return Tensor(_ray_channels(intrinsics, pose, patch_centers(grid), f_origin, f_dir).T)
+    pixels = patch_centers(height, width, k)
+    return Tensor(_ray_channels(intrinsics, pose, pixels, f_origin, f_dir).T)
 
 
 def ray_feature_map(intrinsics, pose, height, width, f_origin, f_dir):
     """Per-pixel query encoding as channels: [6*(f_o+f_d), h, w].
 
-    Same features as ``build_queries`` on the k=1 grid, built channel-major
+    Same features as ``build_queries`` with k = 1, built channel-major
     for concatenating to image channels before the encoder convolutions.
     """
-    pixels = patch_centers(PatchGrid(height, width, 1))
+    pixels = patch_centers(height, width, 1)
     return _ray_channels(intrinsics, pose, pixels, f_origin, f_dir).reshape(-1, height, width)

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import flops
 from . import tensor as T
-from .blocks import AttnBlock, Linear, MhaConfig, uniform_init
+from .blocks import AttnBlock, Linear, uniform_init
 from .costmodel import ConvCost, UpsampleCost
-from .geometry import PatchGrid, build_queries, query_dim, ray_feature_map
+from .geometry import build_queries, query_dim, ray_feature_map
 
 RGB_WEIGHT = 5.0
 PSNR_CAP = 99.0
@@ -85,16 +85,13 @@ class ModelConfig:
             # the upsampling CNN halves channels log2(k) times
             raise ModelConfigError(
                 f"feature_channels {self.feature_channels} not divisible by k {self.k}")
-        if self.d_model < 2 ** self.downsamplings:
-            raise ModelConfigError("d_model too small for the conv channel schedule")
+        if self.d_model < step:  # the conv channel schedule halves d_model per stage
+            raise ModelConfigError(f"d_model must be at least 2 ** downsamplings = {step}, "
+                                   f"got {self.d_model}")
 
     @property
     def query_channels(self):
         return query_dim(self.n_freq_origin, self.n_freq_dir)
-
-    @property
-    def mha(self):
-        return MhaConfig(self.d_model, self.heads, self.d_k, self.d_v)
 
     def tokens_per_view(self):
         s = 4 ** self.downsamplings
@@ -163,7 +160,7 @@ class Encoder:
         for c_out in _conv_channels(cfg):
             self.convs.append(ConvBlock(rng, c, c_out, stride=2))
             c = c_out
-        self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.enc_blocks)]
+        self.blocks = [AttnBlock(cfg, rng) for _ in range(cfg.enc_blocks)]
 
     def __call__(self, views):
         """views: iterable of (image [3,h,w], intrinsics, pose). Returns tokens [n, d]."""
@@ -212,14 +209,14 @@ class _QueryDecoder:
     def __init__(self, cfg, rng, k):
         self.cfg, self.k = cfg, k
         self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
-        self.blocks = [AttnBlock(cfg.mha, rng) for _ in range(cfg.dec_blocks)]
+        self.blocks = [AttnBlock(cfg, rng) for _ in range(cfg.dec_blocks)]
 
     def _attend(self, z, intrinsics, pose, head):
         """The queries through embed, blocks and ``head``, in stage decoder_attn."""
         cfg = self.cfg
-        grid = PatchGrid(cfg.height, cfg.width, self.k)
-        q = build_queries(intrinsics, pose, grid, cfg.n_freq_origin, cfg.n_freq_dir)
-        flops.count_queries("decoder", grid.n_patches)
+        q = build_queries(intrinsics, pose, cfg.height, cfg.width, self.k,
+                          cfg.n_freq_origin, cfg.n_freq_dir)
+        flops.count_queries("decoder", q.shape[0])
         with flops.stage("decoder_attn"):
             x = self.embed(q)
             for blk in self.blocks:

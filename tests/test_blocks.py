@@ -6,6 +6,7 @@ import pytest
 from raypatch import blocks as B
 from raypatch import flops
 from raypatch import tensor as T
+from raypatch.model import ModelConfig
 from raypatch.tensor import Tensor
 
 from reference_impls import attention_single_head_naive, grad_check, sum_all
@@ -16,7 +17,12 @@ def rng():
     return np.random.default_rng(99)
 
 
-CFG = B.MhaConfig(d_model=16, heads=2, d_k=8, d_v=8)
+def attn_cfg(d_model, heads, d_k, d_v):
+    """A model config with these attention sizes, the only fields a block reads."""
+    return ModelConfig(height=8, width=8, d_model=d_model, heads=heads, d_k=d_k, d_v=d_v)
+
+
+CFG = attn_cfg(d_model=16, heads=2, d_k=8, d_v=8)
 
 
 class TestScaledDotAttention:
@@ -59,7 +65,7 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projections_reduce(self, rng):
         # with identity Q/K/V/out projections and zero bias, MHA collapses to
         # plain scaled-dot attention
-        cfg = B.MhaConfig(d_model=6, heads=1, d_k=6, d_v=6)
+        cfg = attn_cfg(d_model=6, heads=1, d_k=6, d_v=6)
         mha = B.MultiHeadAttention(cfg, rng)
         eye = np.eye(6)
         mha.k_weight.data[...] = eye
@@ -101,7 +107,7 @@ class TestMultiHeadAttention:
 
     @pytest.mark.parametrize("heads", [1, 2, 3])
     def test_four_projections_whatever_the_head_count(self, rng, heads):
-        mha = B.MultiHeadAttention(B.MhaConfig(d_model=8, heads=heads, d_k=4, d_v=5), rng)
+        mha = B.MultiHeadAttention(attn_cfg(d_model=8, heads=heads, d_k=4, d_v=5), rng)
         assert [n for n, _ in mha.params("m")] == [
             "m.q.w", "m.q.b", "m.k.w", "m.v.w", "m.v.b", "m.out.w", "m.out.b"]
         assert mha.q_proj.w.shape == mha.k_weight.shape == (8, heads * 4)
@@ -110,7 +116,7 @@ class TestMultiHeadAttention:
     def test_weights_are_drawn_one_head_at_a_time(self):
         # column block h of q_proj.w is the h-th of `heads` consecutive draws,
         # then K's blocks, then V's: the weights one Linear per head would get
-        cfg = B.MhaConfig(d_model=6, heads=3, d_k=4, d_v=2)
+        cfg = attn_cfg(d_model=6, heads=3, d_k=4, d_v=2)
         mha = B.MultiHeadAttention(cfg, np.random.default_rng(5))
         stream = np.random.default_rng(5)
         for w, d in ((mha.q_proj.w, cfg.d_k), (mha.k_weight, cfg.d_k), (mha.v_proj.w, cfg.d_v)):
@@ -212,7 +218,7 @@ class TestAttnBlock:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block_grad_check(self, seed):
         rng = np.random.default_rng(seed)
-        cfg = B.MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+        cfg = attn_cfg(d_model=8, heads=2, d_k=4, d_v=4)
         block = B.AttnBlock(cfg, rng)
         x = T.parameter(rng.standard_normal((5, 8)))
         z = Tensor(rng.standard_normal((6, 8)))
@@ -223,7 +229,7 @@ class TestAttnBlock:
     def test_self_attention_grad_check(self, seed):
         # x is the query, the key/value tokens and the residual: four paths add into one grad
         rng = np.random.default_rng(seed)
-        cfg = B.MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+        cfg = attn_cfg(d_model=8, heads=2, d_k=4, d_v=4)
         block = B.AttnBlock(cfg, rng)
         x = T.parameter(rng.standard_normal((5, 8)))
         w = Tensor(rng.standard_normal((5, 8)))
@@ -240,7 +246,7 @@ class TestAttnBlock:
 
     def test_weight_param_grad_check(self, rng):
         # differentiate through a projection weight, not just the input
-        cfg = B.MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+        cfg = attn_cfg(d_model=8, heads=2, d_k=4, d_v=4)
         block = B.AttnBlock(cfg, np.random.default_rng(3))
         x = Tensor(rng.standard_normal((4, 8)))
         w = Tensor(rng.standard_normal((4, 8)))

@@ -246,6 +246,9 @@ class TestBadInvocations:
         "cost_zero_heads": (["cost", "--heads", "0"], "heads"),
         "cost_negative_d_k": (["cost", "--d-k", "-5"], "d_k"),
         "cost_zero_views": (["cost", "--views", "0"], "--views must be at least 1, got 0"),
+        # 4.3 PiB of conv weights: past the address space, so it fails before touching memory
+        "cost_d_model_beyond_memory": (["cost", "--d-model", "1099511627776"],
+                                       "Unable to allocate"),
         "cost_k_not_a_power_of_two": (["cost", "--height", "96", "--width", "96", "--k", "3"],
                                       "patch size must be a power of two, got 3"),
         "cost_sweep_zero_heads": (["cost", "--sweep", "heads", "--values", "0"], "heads"),

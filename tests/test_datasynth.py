@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from raypatch import datasynth as ds
-from raypatch.geometry import PatchGrid, patch_centers, unproject
+from raypatch.geometry import patch_centers, unproject
 
 from reference_impls import trace_ray_scalar
 
@@ -97,7 +97,7 @@ def test_depth_equals_oracle_distance():
     spec = ds.generate_scene(11)
     intr, pose = ds.rig_views(16, 16)[0]
     view = ds.render_view(spec, intr, pose, 16, 16)
-    centers = patch_centers(PatchGrid(16, 16, 1))
+    centers = patch_centers(16, 16, 1)
     dirs = unproject(intr, pose, centers)
     for flat in (0, 77, 130, 255):
         t_ref, _ = trace_ray_scalar(spec, pose.origin, dirs[flat])
@@ -113,7 +113,7 @@ def test_cross_view_consistency():
     spec = ds.generate_scene(5)
     views = ds.render_scene_views(spec, 48, 48)
     a, b = views[0], views[1]
-    centers = patch_centers(PatchGrid(48, 48, 1))
+    centers = patch_centers(48, 48, 1)
     dirs = unproject(a.intrinsics, a.pose, centers)
     depth = a.depth.reshape(-1).astype(np.float64)
     sel = np.isfinite(depth)

@@ -1,4 +1,4 @@
-"""Patch grids, ray casting, Fourier query encoding."""
+"""Patch centers, ray casting, Fourier query encoding."""
 
 import numpy as np
 import pytest
@@ -28,25 +28,17 @@ def intr():
 
 class TestPatchGrid:
     def test_center_of_single_patch(self):
-        grid = G.PatchGrid(2, 2, 2)
-        np.testing.assert_array_equal(G.patch_centers(grid), [[1.0, 1.0]])
+        np.testing.assert_array_equal(G.patch_centers(2, 2, 2), [[1.0, 1.0]])
 
     def test_centers_4x4_k2(self):
-        grid = G.PatchGrid(4, 4, 2)
-        got = G.patch_centers(grid)
+        got = G.patch_centers(4, 4, 2)
         np.testing.assert_array_equal(got, [[1, 1], [3, 1], [1, 3], [3, 3]])
 
     def test_patch_count(self):
-        assert G.PatchGrid(32, 64, 8).n_patches == 32 * 64 // 64
-
-    @pytest.mark.parametrize("h,w,k", [(32, 32, 5), (32, 32, 0), (16, 24, 7)])
-    def test_bad_grid_rejected(self, h, w, k):
-        with pytest.raises(G.GridError):
-            G.PatchGrid(h, w, k)
+        assert G.patch_centers(32, 64, 8).shape == (32 * 64 // 64, 2)
 
     def test_k1_centers_are_pixel_centers(self):
-        grid = G.PatchGrid(2, 3, 1)
-        got = G.patch_centers(grid)
+        got = G.patch_centers(2, 3, 1)
         np.testing.assert_array_equal(
             got, [[0.5, 0.5], [1.5, 0.5], [2.5, 0.5], [0.5, 1.5], [1.5, 1.5], [2.5, 1.5]])
 
@@ -108,27 +100,25 @@ class TestFourierEncoding:
 class TestQueries:
     def test_shape_and_dim(self, rng, intr):
         pose = random_pose(rng)
-        grid = G.PatchGrid(16, 16, 4)
-        q = G.build_queries(intr, pose, grid, f_origin=10, f_dir=10)
+        q = G.build_queries(intr, pose, 16, 16, 4, f_origin=10, f_dir=10)
         assert q.shape == (16, G.query_dim(10, 10))
         assert q.shape[1] == 120
 
     def test_k1_equals_pixel_rays(self, rng, intr):
         pose = random_pose(rng)
-        q_px = G.build_queries(intr, pose, G.PatchGrid(8, 8, 1), 4, 4)
+        q_px = G.build_queries(intr, pose, 8, 8, 1, 4, 4)
         fmap = G.ray_feature_map(intr, pose, 8, 8, 4, 4)
         np.testing.assert_array_equal(
             fmap, q_px.data.reshape(8, 8, -1).transpose(2, 0, 1))
 
     def test_direction_block_matches_centers(self, rng, intr):
         pose = random_pose(rng)
-        grid = G.PatchGrid(8, 8, 2)
-        q = G.build_queries(intr, pose, grid, f_origin=2, f_dir=3)
-        dirs = G.unproject(intr, pose, G.patch_centers(grid))
+        q = G.build_queries(intr, pose, 8, 8, 2, f_origin=2, f_dir=3)
+        dirs = G.unproject(intr, pose, G.patch_centers(8, 8, 2))
         want = G.fourier_encode(dirs, 3)
         np.testing.assert_array_equal(q.data[:, 12:], want)
 
     def test_origin_block_constant_across_rows(self, rng, intr):
         pose = random_pose(rng)
-        q = G.build_queries(intr, pose, G.PatchGrid(8, 8, 4), 5, 5)
+        q = G.build_queries(intr, pose, 8, 8, 4, 5, 5)
         assert np.all(q.data[:, :30] == q.data[0, :30])

@@ -12,7 +12,7 @@ import pytest
 from raypatch import datasynth as ds
 from raypatch import model as M
 from raypatch import tensor as T
-from raypatch.blocks import AttnBlock, FeedForward, MhaConfig, MultiHeadAttention
+from raypatch.blocks import AttnBlock, FeedForward, MultiHeadAttention
 
 from reference_impls import grad_check, sum_all
 
@@ -77,7 +77,7 @@ def _op_cases(rng):
 
 
 def _block_cases(rng):
-    cfg = MhaConfig(d_model=8, heads=2, d_k=4, d_v=4)
+    cfg = M.ModelConfig(height=8, width=8, d_model=8, heads=2, d_k=4, d_v=4)
     mha = MultiHeadAttention(cfg, rng)
     block = AttnBlock(cfg, rng)
     ff = FeedForward(rng, 8)

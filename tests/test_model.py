@@ -36,6 +36,16 @@ class TestConfig:
         with pytest.raises(M.ModelConfigError, match="power of two"):
             tiny_cfg(k=3)
 
+    @pytest.mark.parametrize("h,w,k", [(32, 32, 5), (32, 32, 0), (16, 24, 7)])
+    def test_rejects_bad_patch_grid(self, h, w, k):
+        with pytest.raises(M.ModelConfigError, match=f"power of two, got {k}$"):
+            tiny_cfg(height=h, width=w, k=k)
+
+    def test_rejects_d_model_below_the_conv_schedule(self):
+        with pytest.raises(M.ModelConfigError,
+                           match=r"^d_model must be at least 2 \*\* downsamplings = 4, got 3$"):
+            tiny_cfg(d_model=3)
+
     def test_rejects_k_not_dividing(self):
         with pytest.raises(M.ModelConfigError):
             M.ModelConfig(height=10, width=10, k=4, feature_channels=32)
