@@ -96,9 +96,14 @@ def load_checkpoint(path):
 
     try:
         cfg = ModelConfig(**meta["config"])
+        model = LightFieldModel(cfg, meta["decoder"])
     except ModelConfigError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    model = LightFieldModel(cfg, meta["decoder"])
+    except MemoryError as exc:
+        field = cfg.largest_field()
+        raise ValueError(f"{path}: the model does not fit in memory; config {field.name!r} = "
+                         f"{getattr(cfg, field.name)} is the furthest above its default "
+                         f"{field.default} ({exc})") from exc
     expected = dict(model.named_parameters())
     if set(stored) != set(expected):
         missing = set(expected) - set(stored)

@@ -162,7 +162,13 @@ def cmd_cost(args):
     rows = []
     for point in points:
         cfg = M.ModelConfig(**{**base, **point})
-        rows.append((cfg, *price_model(cfg, args.decoder, args.views)))
+        try:
+            rows.append((cfg, *price_model(cfg, args.decoder, args.views)))
+        except MemoryError as exc:
+            field = cfg.largest_field()
+            raise ValueError(f"the model does not fit in memory; {_flag(field.name)} "
+                             f"{getattr(cfg, field.name)} is the furthest above its default "
+                             f"{field.default} ({exc})") from exc
 
     if args.csv:
         lines = [COST_CSV_HEADER] + [
@@ -291,12 +297,16 @@ def _model_fields():
     return [f.name for f in dataclasses.fields(M.ModelConfig) if f.name not in ("height", "width")]
 
 
+def _flag(field):
+    """The command-line flag that sets a model field."""
+    return "--" + field.removeprefix("n_").replace("_", "-")
+
+
 def _add_model_flags(p):
     """One flag per model field. A flag left out stays absent from the parsed
     arguments, so ModelConfig holds the only copy of each default."""
     for field in _model_fields():
-        p.add_argument("--" + field.removeprefix("n_").replace("_", "-"), dest=field, type=int,
-                       default=argparse.SUPPRESS)
+        p.add_argument(_flag(field), dest=field, type=int, default=argparse.SUPPRESS)
 
 
 def _model_overrides(args):

@@ -26,7 +26,7 @@ further view decoded from that tensor: encode once, render many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -88,6 +88,12 @@ class ModelConfig:
         if self.d_model < step:  # the conv channel schedule halves d_model per stage
             raise ModelConfigError(f"d_model must be at least 2 ** downsamplings = {step}, "
                                    f"got {self.d_model}")
+
+    def largest_field(self):
+        """The size field furthest above its default, by ratio: the one to name
+        when a valid config describes a model too large to allocate."""
+        sizes = [f for f in fields(self) if f.default is not MISSING and f.name != "seed"]
+        return max(sizes, key=lambda f: getattr(self, f.name) / f.default)
 
     @property
     def query_channels(self):
@@ -167,9 +173,14 @@ class Encoder:
         cfg = self.cfg
         tokens = []
         for image, intr, pose in views:
-            rays = ray_feature_map(intr, pose, cfg.height, cfg.width,
-                                   cfg.n_freq_origin, cfg.n_freq_dir)
-            x = T.Tensor(np.concatenate([np.asarray(image, dtype=np.float64), rays]))
+            if np.shape(image) != (3, cfg.height, cfg.width):  # the copy below would broadcast
+                raise ValueError(f"input image must be [3, {cfg.height}, {cfg.width}], "
+                                 f"got {list(np.shape(image))}")
+            x = np.empty((3 + cfg.query_channels, cfg.height, cfg.width))
+            x[:3] = image
+            ray_feature_map(intr, pose, cfg.height, cfg.width,
+                            cfg.n_freq_origin, cfg.n_freq_dir, out=x[3:])
+            x = T.Tensor(x)
             with flops.stage("encoder_conv"):
                 for conv in self.convs:
                     x = conv(x)

@@ -115,8 +115,10 @@ def _with_meta(src, dst, edit):
     (lambda m: m.update(decoder="nerf"), "nerf"),
     (lambda m: m.pop("decoder"), "decoder"),
     (lambda m: m["config"].update(k=3), "power of two"),
+    # 1 PiB of conv weights: past the address space, so it fails before touching memory
+    (lambda m: m["config"].update(d_model=2 ** 40), "config 'd_model' = 1099511627776"),
 ], ids=["unknown_key", "missing_key", "bad_value", "float_step", "negative_step",
-        "unknown_decoder", "no_decoder", "inconsistent_config"])
+        "unknown_decoder", "no_decoder", "inconsistent_config", "too_large_to_allocate"])
 def test_rejects_bad_meta_naming_path_and_key(tmp_path, edit, key):
     good, bad = tmp_path / "good.rpck", tmp_path / "bad.rpck"
     ckpt.save_checkpoint(good, M.LightFieldModel(small_cfg(), "raypatch"), step=2)

@@ -210,8 +210,10 @@ class TestBadInvocations:
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
         # no model with these metas can be built or saved, so rewrite the meta
         # of a valid checkpoint
+        # big_ck: 1 PiB of conv weights, past the address space
         for name, step, config in (("neg_ck", -1, {}), ("h0_ck", 0, {"height": 0}),
-                                   ("heads0_ck", 0, {"heads": 0})):
+                                   ("heads0_ck", 0, {"heads": 0}),
+                                   ("big_ck", 0, {"d_model": 2 ** 40})):
             paths[name] = d / f"{name}.rpck"
             with open(paths["ck"], "rb") as src, open(paths[name], "wb") as dst:
                 meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
@@ -248,7 +250,11 @@ class TestBadInvocations:
         "cost_zero_views": (["cost", "--views", "0"], "--views must be at least 1, got 0"),
         # 4.3 PiB of conv weights: past the address space, so it fails before touching memory
         "cost_d_model_beyond_memory": (["cost", "--d-model", "1099511627776"],
-                                       "Unable to allocate"),
+                                       "the model does not fit in memory; --d-model "
+                                       "1099511627776 is the furthest above its default 64"),
+        # 1 PiB of attention weights: past the address space too
+        "cost_sweep_d_k_beyond_memory": (["cost", "--sweep", "d_k", "--values", "8,1099511627776"],
+                                         "--d-k 1099511627776 is the furthest above its default"),
         "cost_k_not_a_power_of_two": (["cost", "--height", "96", "--width", "96", "--k", "3"],
                                       "patch size must be a power of two, got 3"),
         "cost_sweep_zero_heads": (["cost", "--sweep", "heads", "--values", "0"], "heads"),
@@ -339,6 +345,12 @@ class TestBadInvocations:
                                "{h0_ck}: height must be at least 1"),
         "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],
                               "{heads0_ck}: heads must be at least 1"),
+        "verify_too_large_to_allocate": (["verify-ckpt", "--checkpoint", "{big_ck}"],
+                                         "{big_ck}: the model does not fit in memory; config "
+                                         "'d_model' = 1099511627776"),
+        "render_too_large_to_allocate": (RENDER + ["{big_ck}", "--dataset", "{ds}"],
+                                         "{big_ck}: the model does not fit in memory; config "
+                                         "'d_model' = 1099511627776"),
         "verify_nan_weight": (["verify-ckpt", "--checkpoint", "{nan_ck}"],
                               "{nan_ck}: entry 'dec.body0.gamma' holds a non-finite"),
         "render_zero_height": (RENDER + ["{h0_ck}", "--dataset", "{ds}"],

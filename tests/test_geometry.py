@@ -90,6 +90,20 @@ class TestFourierEncoding:
         got = G.fourier_encode(v, 4)
         np.testing.assert_allclose(got, fourier_encode_naive(v, 4), atol=1e-12)
 
+    def test_against_naive_at_the_model_frequencies(self, rng):
+        # F = 10 is ModelConfig's default. Each angle-doubling step about doubles
+        # the error it is handed, so frequency f is off by about 2^f unit
+        # roundoffs (2^-53): near 1e-13 at f = 9, and 1e-12 leaves a margin
+        v = rng.uniform(-3.0, 3.0, (400, 3))
+        got = G.fourier_encode(v, 10)
+        want = np.stack([fourier_encode_naive(row, 10) for row in v])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_freq", [0, 1])
+    def test_bit_equal_to_naive_without_doubling(self, rng, n_freq):
+        v = rng.uniform(-3.0, 3.0, 50)
+        np.testing.assert_array_equal(G.fourier_encode(v, n_freq), fourier_encode_naive(v, n_freq))
+
     def test_batched_matches_rowwise(self, rng):
         vs = rng.standard_normal((6, 3))
         got = G.fourier_encode(vs, 3)
@@ -122,3 +136,14 @@ class TestQueries:
         pose = random_pose(rng)
         q = G.build_queries(intr, pose, 8, 8, 4, 5, 5)
         assert np.all(q.data[:, :30] == q.data[0, :30])
+
+    @pytest.mark.parametrize("f_origin,f_dir", [(5, 5), (3, 5), (5, 3)])
+    def test_origin_rows_of_the_map_encode_the_origin(self, rng, intr, f_origin, f_dir):
+        pose = random_pose(rng)
+        fmap = G.ray_feature_map(intr, pose, 8, 8, f_origin, f_dir)
+        q = G.build_queries(intr, pose, 8, 8, 2, f_origin, f_dir)
+        want = G.fourier_encode(pose.origin / G.SCENE_RADIUS, f_origin)
+        n_origin = 6 * f_origin
+        np.testing.assert_array_equal(fmap[:n_origin],
+                                      np.broadcast_to(want[:, None, None], (n_origin, 8, 8)))
+        np.testing.assert_array_equal(q.data[:, :n_origin], np.broadcast_to(want, (16, n_origin)))

@@ -11,6 +11,7 @@ import pytest
 
 from raypatch import datasynth as ds
 from raypatch import flops
+from raypatch import geometry as G
 from raypatch import model as M
 from raypatch import tensor as T
 from raypatch.blocks import uniform_init
@@ -171,6 +172,46 @@ class TestForward:
         want = uniform_init(np.random.default_rng(4), 9 * 3, (5, 3, 3, 3)).transpose(0, 2, 3, 1)
         assert got.shape == (5, 3, 3, 3) and got.flags["C_CONTIGUOUS"]
         np.testing.assert_array_equal(got, want)
+
+
+class TestRayFeatures:
+    """The encoder and decoders reach the ray encodings through the names
+    ``raypatch.model`` binds: the benchmark's spans wrap those names."""
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_encode_and_decode_call_the_bound_names(self, kind, monkeypatch):
+        calls = {"ray_feature_map": 0, "build_queries": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(M, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(M, name, counted)
+        m = M.LightFieldModel(tiny_cfg(), kind)
+        views = scene_views()
+        z = m.encode([(v.image, v.intrinsics, v.pose) for v in views])
+        assert calls == {"ray_feature_map": len(views), "build_queries": 0}
+        m.decode(z, views[0].intrinsics, views[0].pose)
+        assert calls == {"ray_feature_map": len(views), "build_queries": 1}
+
+    def test_encoder_input_is_the_image_then_the_ray_channels(self, monkeypatch):
+        seen = []
+        conv2d = T.conv2d
+
+        def recording(x, *args, **kw):
+            seen.append(x.data.copy())
+            return conv2d(x, *args, **kw)
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        view = scene_views()[0]
+        M.LightFieldModel(tiny_cfg(), "raypatch").encode([(view.image, view.intrinsics, view.pose)])
+        rays = G.ray_feature_map(view.intrinsics, view.pose, 8, 8, 2, 2)
+        np.testing.assert_array_equal(seen[0], np.concatenate([view.image, rays]))
+
+    def test_rejects_an_image_of_the_wrong_shape(self):
+        view = scene_views()[0]
+        with pytest.raises(ValueError, match=r"input image must be \[3, 8, 8\], got \[1, 8, 8\]"):
+            M.LightFieldModel(tiny_cfg(), "raypatch").encode(
+                [(view.image[:1], view.intrinsics, view.pose)])
 
 
 class TestReusedKV:
