@@ -1,6 +1,9 @@
 """The container of RPDS datasets and RPCK checkpoints, integers little-endian:
 
     magic (4 bytes) | u32 version | u64 json_len | JSON header (sorted keys) | body
+
+The body rule: the header describes the body's size, and the body holds exactly
+that many bytes, no fewer and no more.
 """
 
 import json
@@ -16,21 +19,21 @@ def write_header(fh, magic, version, header):
     return fh.write(_PREFIX.pack(magic, version, len(blob)) + blob)
 
 
-def read_exact(fh, n, path):
+def _read_exact(fh, n, path):
     """The next ``n`` bytes of ``fh``, or a ValueError naming ``path`` if fewer are left."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if not 0 <= n <= left:
+    if n > left:
         raise ValueError(f"{path}: truncated: {n} bytes needed at {fh.tell()}, {left} left")
     return fh.read(n)
 
 
 def read_header(fh, path, magic, version):
     """Check magic and version, then return the JSON header, which must be an object."""
-    got, found, n = _PREFIX.unpack(read_exact(fh, _PREFIX.size, path))
+    got, found, n = _PREFIX.unpack(_read_exact(fh, _PREFIX.size, path))
     if (got, found) != (magic, version):
         raise ValueError(f"{path}: not an {magic.decode()} file of version {version} "
                          f"(magic {got!r}, version {found})")
-    blob = read_exact(fh, n, path)
+    blob = _read_exact(fh, n, path)
     try:
         header = json.loads(blob)
     except ValueError as exc:  # bad UTF-8 or bad JSON
@@ -38,3 +41,10 @@ def read_header(fh, path, magic, version):
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
     return header
+
+
+def check_body(fh, path, n):
+    """The body rule: exactly ``n`` bytes follow the header, or a ValueError names ``path``."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left != n:
+        raise ValueError(f"{path}: {left} bytes after the header, but it describes {n}")

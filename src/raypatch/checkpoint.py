@@ -1,30 +1,29 @@
 """Model snapshots on disk.
 
-Layout (magic RPCK, integers little-endian):
+Layout (magic RPCK): ``binfile``'s container with the meta JSON
 
-    "RPCK" | u32 version | u64 json_len | meta JSON (sorted keys)
-    u32 n_entries
-    per entry: u32 name_len | name utf8 | u32 rank | u64 dim... | f32 payload
+    {"config": {...}, "decoder": ..., "entries": [[name, shape], ...], "step": ...}
 
-The container (magic, version, JSON header) is ``binfile``'s. The meta JSON
-carries every ``ModelConfig`` field (all integers), the decoder kind and the
-training step count, enough to rebuild the model object before filling in
-weights; the output layout and the scene radius are constants of the code,
-not stored. Entries are the trainable parameters only: the model holds no
-other state, and optimizer state is deliberately not persisted. Values are
-stored as f32, which makes save -> load -> save byte-stable, and must be
-finite.
+and a body of each entry's values in that order, f32 little-endian, C order.
+
+``config`` carries every ``ModelConfig`` field (all integers); with the
+decoder kind it rebuilds the model before the weights are read, and the
+rebuilt model's (name, shape) list must equal ``entries``. The output layout
+and the scene radius are constants of the code, not stored. Entries are the
+trainable parameters only: the model holds no other state, and optimizer
+state is deliberately not persisted. Values are stored as f32, which makes
+save -> load -> save byte-stable, and must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import struct
 
 import numpy as np
 
-from .binfile import read_exact, read_header, write_header
+from .binfile import check_body, read_header, write_header
 from .model import DECODERS, LightFieldModel, ModelConfig, ModelConfigError
 
 MAGIC = b"RPCK"
@@ -32,29 +31,27 @@ MAGIC = b"RPCK"
 # 3: no out_channels or scene_radius in the config meta: both are code constants
 # 4: parameters only: the conv blocks' norm keeps no running statistics
 # 5: conv weights tap-major [c_out, 3, 3, c_in]; no conv-block or key biases
-VERSION = 5
+# 6: names and shapes in the meta's "entries"; the body is only the values
+VERSION = 6
+
+
+def _entries(model):
+    return [[name, list(param.shape)] for name, param in model.named_parameters()]
 
 
 def save_checkpoint(path, model, step=0):
     if type(step) is not int or step < 0:  # what load_checkpoint accepts
         raise ValueError(f"{path}: step is not an integer of at least 0: {step!r}")
-    entries = model.named_parameters()
     meta = {
         "config": dataclasses.asdict(model.cfg),
         "decoder": model.decoder_kind,
+        "entries": _entries(model),
         "step": step,
     }
     with open(path, "wb") as fh:
         write_header(fh, MAGIC, VERSION, meta)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, param in entries:
-            arr = np.asarray(param.data, dtype="<f4")
-            encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+        for _, param in model.named_parameters():
+            fh.write(np.asarray(param.data, dtype="<f4").tobytes())
 
 
 def _check_meta(meta, path):
@@ -75,47 +72,43 @@ def _check_meta(meta, path):
     if type(meta.get("step")) is not int or meta["step"] < 0:
         raise ValueError(f"{path}: 'step' is not an integer of at least 0: "
                          f"{meta.get('step')!r}")
+    entries = meta.get("entries")
+    if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+        raise ValueError(f"{path}: meta 'entries' is not a list of [name, shape] pairs")
+
+
+def _is_entry(entry):  # enough to size the body; the rebuilt model checks the rest
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+            and all(type(dim) is int and dim >= 0 for dim in entry[1]))
 
 
 def load_checkpoint(path):
-    """Rebuild the model a checkpoint describes: (model, meta dict)."""
+    """Rebuild the model a checkpoint describes: (model, meta dict). ``entries``
+    sizes the body before the model is built; each entry is then read into
+    its parameter, with no copy of the whole body."""
     with open(path, "rb") as fh:
         meta = read_header(fh, path, MAGIC, VERSION)
         _check_meta(meta, path)
-        (n_entries,) = struct.unpack("<I", read_exact(fh, 4, path))
-        stored = {}
-        for _ in range(n_entries):
-            (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
-            name = read_exact(fh, nlen, path).decode()
-            (rank,) = struct.unpack("<I", read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{rank}Q", read_exact(fh, 8 * rank, path))
-            stored[name] = np.frombuffer(read_exact(fh, 4 * math.prod(shape), path),
-                                         dtype="<f4").reshape(shape)
-            if not np.isfinite(stored[name]).all():
+        check_body(fh, path, sum(4 * math.prod(shape) for _, shape in meta["entries"]))
+        try:
+            cfg = ModelConfig(**meta["config"])
+            model = LightFieldModel(cfg, meta["decoder"])
+        except ModelConfigError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        except MemoryError as exc:
+            field = cfg.largest_field()
+            raise ValueError(f"{path}: the model does not fit in memory; config "
+                             f"{field.name!r} = {getattr(cfg, field.name)} is the furthest "
+                             f"above its default {field.default} ({exc})") from exc
+        pairs = itertools.zip_longest(meta["entries"], _entries(model))
+        for i, (got, want) in enumerate(pairs):  # name the first difference
+            if got != want:
+                raise ValueError(f"{path}: entry {i} is {got}, but the rebuilt model's is {want}")
+        for name, param in model.named_parameters():
+            values = np.fromfile(fh, dtype="<f4", count=param.data.size)
+            if not np.isfinite(values).all():
                 raise ValueError(f"{path}: entry {name!r} holds a non-finite value")
-
-    try:
-        cfg = ModelConfig(**meta["config"])
-        model = LightFieldModel(cfg, meta["decoder"])
-    except ModelConfigError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except MemoryError as exc:
-        field = cfg.largest_field()
-        raise ValueError(f"{path}: the model does not fit in memory; config {field.name!r} = "
-                         f"{getattr(cfg, field.name)} is the furthest above its default "
-                         f"{field.default} ({exc})") from exc
-    expected = dict(model.named_parameters())
-    if set(stored) != set(expected):
-        missing = set(expected) - set(stored)
-        surplus = set(stored) - set(expected)
-        raise ValueError(f"{path}: state names do not match the rebuilt model "
-                         f"(missing {sorted(missing)}, surplus {sorted(surplus)})")
-    for name, param in expected.items():
-        arr = stored[name].astype(np.float64)
-        if param.shape != arr.shape:
-            raise ValueError(f"{path}: {name} has shape {arr.shape}, "
-                             f"model wants {param.shape}")
-        param.data[...] = arr
+            param.data[...] = values.reshape(param.shape)
     return model, meta
 
 

@@ -7,21 +7,18 @@ three views 120 degrees apart. View 0 of each scene is the encoder input, the
 other two are supervision targets.
 
 Depth is Euclidean distance along the unit pixel ray; sky pixels carry NaN
-and are excluded from depth losses. The binary dataset layout (magic RPDS)
-is documented next to the writer.
+and are excluded from depth losses. A dataset file (magic RPDS) is a
+``binfile`` header and then one ``view_record`` per view.
 """
 
 from __future__ import annotations
 
 import io
-import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import read_header, write_header
+from .binfile import check_body, read_header, write_header
 from .geometry import CameraIntrinsics, CameraPose, patch_centers, unproject
 
 RIG_RADIUS = 2.5
@@ -242,20 +239,29 @@ def render_scene_views(spec, height, width):
 
 
 # ---------------------------------------------------------------------------
-# dataset file format
-#
-#   binfile container: magic "RPDS" | u32 version | u64 header_len | header JSON
-#   then per scene, per view (RIG_VIEWS of them, view 0 the encoder input):
-#     pose 12 f64 (rotation rows, then origin) | intrinsics 4 f64 (fx fy cx cy)
-#     rgb 3*h*w f32 | depth h*w f32 (NaN = no hit)
-#   all numbers little-endian
+# dataset file format: see view_record
 # ---------------------------------------------------------------------------
+
+def view_record(height, width):
+    """One view on disk, packed and little-endian. A file holds RIG_VIEWS of
+    them per scene, view 0 the encoder input. The rotation is stored row by
+    row, the intrinsics are fx fy cx cy, and NaN depth means no hit."""
+    return np.dtype([("rotation", "<f8", (3, 3)), ("origin", "<f8", (3,)),
+                     ("intrinsics", "<f8", (4,)), ("image", "<f4", (3, height, width)),
+                     ("depth", "<f4", (height, width))])
+
+
+def _body_size(n_scenes, height, width):
+    """In Python ints, as a record's size is linear in h * w: a header is checked
+    against its file before it may ask numpy for a record type over 2 GiB."""
+    fixed = view_record(0, 0).itemsize
+    return n_scenes * RIG_VIEWS * (fixed + (view_record(1, 1).itemsize - fixed) * height * width)
+
 
 def predicted_file_size(n_scenes, height, width, seed):
     header = write_header(io.BytesIO(), MAGIC, VERSION,
                           _header_dict(n_scenes, height, width, seed))
-    per_view = 12 * 8 + 4 * 8 + 3 * height * width * 4 + height * width * 4
-    return header + n_scenes * RIG_VIEWS * per_view
+    return header + _body_size(n_scenes, height, width)
 
 
 def _header_dict(n_scenes, height, width, seed):
@@ -277,67 +283,53 @@ def make_dataset(path, n_scenes, height, width, seed):
     """Render ``n_scenes`` procedural scenes (scene i uses seed ``seed + i``) to ``path``."""
     header = _header_dict(n_scenes, height, width, seed)
     _check_header(header, path)  # write nothing that load_dataset would refuse
+    records = np.zeros(RIG_VIEWS, dtype=view_record(height, width))
     with open(path, "wb") as fh:
         write_header(fh, MAGIC, VERSION, header)
         for i in range(n_scenes):
-            spec = generate_scene(seed + i)
-            for view in render_scene_views(spec, height, width):
-                _write_view(fh, view)
-
-
-def _write_view(fh, view):
-    fh.write(view.pose.rotation.astype("<f8").tobytes())
-    fh.write(view.pose.origin.astype("<f8").tobytes())
-    k = view.intrinsics
-    fh.write(struct.pack("<4d", k.fx, k.fy, k.cx, k.cy))
-    fh.write(view.image.astype("<f4").tobytes())
-    fh.write(view.depth.astype("<f4").tobytes())
+            views = render_scene_views(generate_scene(seed + i), height, width)
+            for rec, view in zip(records, views):
+                k = view.intrinsics
+                rec["rotation"], rec["origin"] = view.pose.rotation, view.pose.origin
+                rec["intrinsics"] = k.fx, k.fy, k.cx, k.cy
+                rec["image"], rec["depth"] = view.image, view.depth
+            fh.write(records)
 
 
 def load_dataset(path):
-    """Read an RPDS file back: (header dict, scenes as lists of ViewSample)."""
+    """Read an RPDS file back: (header dict, scenes as lists of ViewSample).
+    Every array of a ViewSample is a view into one array of all the records."""
     with open(path, "rb") as fh:
         header = read_header(fh, path, MAGIC, VERSION)
         _check_header(header, path)
-        h, w = header["h"], header["w"]
-        size = os.fstat(fh.fileno()).st_size
-        expected = predicted_file_size(header["n_scenes"], h, w, header["seed"])
-        if size != expected:
-            raise ValueError(f"{path}: {size} bytes, but its header describes {expected}")
-        # the size matches, so every read below returns all it asks for
-        scenes = []
-        for s in range(header["n_scenes"]):
-            views = [_read_view(fh, h, w) for _ in range(RIG_VIEWS)]
-            for v, view in enumerate(views):
-                fault = _view_fault(view)
-                if fault:
-                    raise ValueError(f"{path}: scene {s} view {v}: {fault}")
-            scenes.append(views)
-        return header, scenes
+        n_scenes, h, w = header["n_scenes"], header["h"], header["w"]
+        check_body(fh, path, _body_size(n_scenes, h, w))
+        try:
+            record = view_record(h, w)
+        except ValueError as exc:  # a field over 2 GiB: a file of no scenes, or of many GiB
+            raise ValueError(f"{path}: {h}x{w} views do not fit a numpy record ({exc})") from exc
+        records = np.fromfile(fh, dtype=record, count=n_scenes * RIG_VIEWS)
+    records = records.reshape(n_scenes, RIG_VIEWS)
+    for (s, v), rec in np.ndenumerate(records):
+        fault = _view_fault(rec)
+        if fault:
+            raise ValueError(f"{path}: scene {s} view {v}: {fault}")
+    return header, [[ViewSample(image=rec["image"], depth=rec["depth"],
+                                intrinsics=CameraIntrinsics(*rec["intrinsics"].tolist()),
+                                pose=CameraPose(rec["rotation"], rec["origin"]))
+                     for rec in views] for views in records]
 
 
-def _view_fault(view):
-    """What makes a loaded view unusable, or None. Depth may be NaN (sky), not <= 0."""
-    for name, arr in (("rotation", view.pose.rotation), ("origin", view.pose.origin),
-                      ("image", view.image)):
-        if not np.isfinite(arr).all():
+def _view_fault(rec):
+    """What makes a view record unusable, or None. Depth may be NaN (sky), not <= 0."""
+    for name in ("rotation", "origin", "image"):
+        if not np.isfinite(rec[name]).all():
             return f"{name} holds a non-finite value"
-    k = view.intrinsics
-    if not all(map(math.isfinite, (k.fx, k.fy, k.cx, k.cy))):
+    if not np.isfinite(rec["intrinsics"]).all():
         return "intrinsics hold a non-finite value"
-    if not (k.fx > 0 and k.fy > 0):
-        return f"focal length fx={k.fx}, fy={k.fy} is not above 0"
-    if (view.depth <= 0).any():
+    fx, fy = rec["intrinsics"][:2].tolist()
+    if not (fx > 0 and fy > 0):
+        return f"focal length fx={fx}, fy={fy} is not above 0"
+    if (rec["depth"] <= 0).any():
         return "depth holds a value at or below 0"
     return None
-
-
-def _read_view(fh, h, w):
-    rot = np.frombuffer(fh.read(9 * 8), dtype="<f8").reshape(3, 3)
-    origin = np.frombuffer(fh.read(3 * 8), dtype="<f8")
-    fx, fy, cx, cy = struct.unpack("<4d", fh.read(32))
-    image = np.frombuffer(fh.read(3 * h * w * 4), dtype="<f4").reshape(3, h, w)
-    depth = np.frombuffer(fh.read(h * w * 4), dtype="<f4").reshape(h, w)
-    return ViewSample(image=image.copy(), depth=depth.copy(),
-                      intrinsics=CameraIntrinsics(fx, fy, cx, cy),
-                      pose=CameraPose(rot.copy(), origin.copy()))

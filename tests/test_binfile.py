@@ -40,9 +40,9 @@ def test_bad_header_json_names_the_path(tmp_path, blob, match):
 
 def _tiny_dataset(path):
     ds.make_dataset(path, n_scenes=2, height=8, width=8, seed=1)
-    header = binfile.write_header(io.BytesIO(), ds.MAGIC, ds.VERSION,
-                                  {"h": 8, "n_scenes": 2, "seed": 1, "w": 8})
-    return ds.load_dataset, header + (path.stat().st_size - header) // 6  # 2 scenes x 3 views
+    with open(path, "rb") as fh:
+        binfile.read_header(fh, path, ds.MAGIC, ds.VERSION)
+        return ds.load_dataset, fh.tell() + ds.view_record(8, 8).itemsize
 
 
 def _tiny_checkpoint(path):
@@ -50,29 +50,27 @@ def _tiny_checkpoint(path):
                         n_freq_origin=2, n_freq_dir=2, feature_channels=8,
                         enc_blocks=1, dec_blocks=1)
     ckpt.save_checkpoint(path, M.LightFieldModel(cfg, "raypatch"), step=5)
-    raw = path.read_bytes()
-    (json_len,) = struct.unpack("<Q", raw[8:16])
-    at = 16 + json_len + 4  # past the header and the entry count
-    (name_len,) = struct.unpack("<I", raw[at:at + 4])
-    at += 4 + name_len
-    (rank,) = struct.unpack("<I", raw[at:at + 4])
-    shape = struct.unpack(f"<{rank}Q", raw[at + 4:at + 4 + 8 * rank])
-    return ckpt.load_checkpoint, at + 4 + 8 * rank + 4 * math.prod(shape)
+    with open(path, "rb") as fh:
+        meta = binfile.read_header(fh, path, ckpt.MAGIC, ckpt.VERSION)
+        _, shape = meta["entries"][0]
+        return ckpt.load_checkpoint, fh.tell() + 4 * math.prod(shape)
 
 
 @pytest.mark.parametrize("make", [_tiny_dataset, _tiny_checkpoint], ids=["rpds", "rpck"])
 def test_every_cut_raises_value_error_naming_the_path(tmp_path, make):
-    """Cut at every byte through the first view/entry, then at a stride."""
+    """Cut at every byte through the first view/entry, then at a stride; and
+    append 1 and 61 bytes to the whole file."""
     whole = tmp_path / "whole.bin"
     load, first_end = make(whole)
     raw = whole.read_bytes()
     assert 0 < first_end < len(raw)
     load(whole)  # the uncut file loads
 
-    cut = tmp_path / "cut.bin"
-    offsets = list(range(first_end + 1)) + list(range(first_end + 1, len(raw), 61))
-    for n in offsets:
-        cut.write_bytes(raw[:n])
+    bad = tmp_path / "bad.bin"
+    cuts = [raw[:n] for n in range(first_end + 1)]
+    cuts += [raw[:n] for n in range(first_end + 1, len(raw), 61)]
+    for n, body in enumerate(cuts + [raw + b"\0", raw + bytes(range(61))]):
+        bad.write_bytes(body)
         with pytest.raises(ValueError) as exc:
-            load(cut)
-        assert str(cut) in str(exc.value), (n, str(exc.value))
+            load(bad)
+        assert str(bad) in str(exc.value), (n, len(body), str(exc.value))

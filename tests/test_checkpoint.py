@@ -58,16 +58,15 @@ def test_rejects_wrong_version(tmp_path):
         ckpt.load_checkpoint(path)
 
 
-def test_refuses_a_version_4_file(tmp_path):
-    # version 4 stored conv weights [c_out, c_in, 3, 3] and the biases the
-    # conv blocks' norm and the keys' softmax cancel
+def test_refuses_a_version_5_file(tmp_path):
+    # version 5 stored each entry's name and shape in the body, in front of its values
     m = M.LightFieldModel(small_cfg(), "raypatch")
     path = tmp_path / "m.rpck"
     ckpt.save_checkpoint(path, m)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 4)
+    raw[4:8] = struct.pack("<I", 5)
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="not an RPCK file of version 5 .*version 4"):
+    with pytest.raises(ValueError, match="not an RPCK file of version 6 .*version 5"):
         ckpt.load_checkpoint(path)
 
 
@@ -117,8 +116,21 @@ def _with_meta(src, dst, edit):
     (lambda m: m["config"].update(k=3), "power of two"),
     # 1 PiB of conv weights: past the address space, so it fails before touching memory
     (lambda m: m["config"].update(d_model=2 ** 40), "config 'd_model' = 1099511627776"),
+    (lambda m: m.pop("entries"), "'entries' is not a list"),
+    (lambda m: m.update(entries={}), "'entries' is not a list"),
+    (lambda m: m["entries"][0][1].__setitem__(0, -8), "'entries' is not a list"),
+    (lambda m: m["entries"][0][1].__setitem__(0, 8.0), "'entries' is not a list"),
+    # the header sizes the body, so an entry fewer is a body too long for it
+    (lambda m: m["entries"].pop(), "bytes after the header, but it describes"),
+    (lambda m: m["entries"][2][1].append(1), "entry 2 is ['enc.conv0.beta', [8, 1]], but "
+                                             "the rebuilt model's is ['enc.conv0.beta', [8]]"),
+    (lambda m: m["entries"][3].__setitem__(0, "enc.other"), "entry 3 is ['enc.other'"),
+    (lambda m: m["entries"].append(["extra", [0]]),
+     "is ['extra', [0]], but the rebuilt model's is None"),
 ], ids=["unknown_key", "missing_key", "bad_value", "float_step", "negative_step",
-        "unknown_decoder", "no_decoder", "inconsistent_config", "too_large_to_allocate"])
+        "unknown_decoder", "no_decoder", "inconsistent_config", "too_large_to_allocate",
+        "no_entries", "entries_not_a_list", "negative_dim", "float_dim", "entry_missing",
+        "entry_shape", "entry_name", "entry_surplus"])
 def test_rejects_bad_meta_naming_path_and_key(tmp_path, edit, key):
     good, bad = tmp_path / "good.rpck", tmp_path / "bad.rpck"
     ckpt.save_checkpoint(good, M.LightFieldModel(small_cfg(), "raypatch"), step=2)

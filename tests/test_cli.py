@@ -4,7 +4,6 @@ import argparse
 import dataclasses
 import math
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -191,20 +190,30 @@ class TestBadInvocations:
         paths["cut_ds"].write_bytes(paths["ds"].read_bytes()[:-100])
         paths["ds16"] = d / "ds16.rpds"
         ds.make_dataset(paths["ds16"], n_scenes=1, height=16, width=16, seed=0)
-        # one bad value in one view of the 2-scene file; a view is pose (12 f64),
-        # intrinsics (fx fy cx cy, f64), rgb (3*8*8 f32) and depth (8*8 f32)
+        # one bad value in one view of the 2-scene file, placed through the view record
         raw = paths["ds"].read_bytes()
-        per_view = 16 * 8 + 4 * 8 * 8 * 4
-        head = len(raw) - 2 * ds.RIG_VIEWS * per_view
-        for name, view, at, fmt, value in (("nan_rotation", 4, 0, "<d", math.nan),
-                                           ("inf_pixel", 2, 128 + 40, "<f", math.inf),
-                                           ("zero_fx", 3, 96, "<d", 0.0),
-                                           ("nan_cx", 0, 112, "<d", math.nan),
-                                           ("zero_depth", 1, 128 + 768, "<f", 0.0)):
+        record = ds.view_record(8, 8)
+        head = len(raw) - 2 * ds.RIG_VIEWS * record.itemsize
+        for name, view, field, at, value in (("nan_rotation", 4, "rotation", 0, math.nan),
+                                             ("inf_pixel", 2, "image", 10, math.inf),
+                                             ("zero_fx", 3, "intrinsics", 0, 0.0),
+                                             ("nan_cx", 0, "intrinsics", 2, math.nan),
+                                             ("zero_depth", 1, "depth", 0, 0.0)):
             paths[name] = d / f"{name}.rpds"
             bad = bytearray(raw)
-            struct.pack_into(fmt, bad, head + view * per_view + at, value)
+            np.frombuffer(bad, record, offset=head)[field][view].flat[at] = value
             paths[name].write_bytes(bytes(bad))
+        # headers that describe a body far past the 2-scene body behind them, and
+        # one of no scenes (and no body) whose views pass numpy's 2 GiB record limit
+        for name, edit in (("huge_views_ds", {"h": 2 ** 20, "w": 2 ** 20}),
+                           ("huge_count_ds", {"n_scenes": 2 ** 62}),
+                           ("huge_empty_ds", {"h": 2 ** 20, "w": 2 ** 20, "n_scenes": 0})):
+            paths[name] = d / f"{name}.rpds"
+            with open(paths["ds"], "rb") as src, open(paths[name], "wb") as dst:
+                header = binfile.read_header(src, paths["ds"], ds.MAGIC, ds.VERSION)
+                binfile.write_header(dst, ds.MAGIC, ds.VERSION, dict(header, **edit))
+                if edit.get("n_scenes") != 0:
+                    dst.write(src.read())
         cfg = M.ModelConfig(height=8, width=8, k=2, d_model=16, heads=2, d_k=8, d_v=8,
                             n_freq_origin=2, n_freq_dir=2, feature_channels=8)
         ckpt.save_checkpoint(paths["ck"], M.LightFieldModel(cfg, "raypatch"))
@@ -227,12 +236,19 @@ class TestBadInvocations:
             binfile.write_header(dst, ckpt.MAGIC, 3, meta)
             dst.write(src.read())
         paths["cut_ck"].write_bytes(paths["ck"].read_bytes()[:-100])
-        # a NaN in the first value of one parameter entry: name, u32 rank 1, u64 dim
+        paths["long_ck"] = d / "long.rpck"
+        paths["long_ck"].write_bytes(paths["ck"].read_bytes() + b"\0")
+        # a NaN in the first value of one parameter entry, found through the
+        # meta's entries
         paths["nan_ck"] = d / "nan.rpck"
+        with open(paths["ck"], "rb") as src:
+            meta = binfile.read_header(src, paths["ck"], ckpt.MAGIC, ckpt.VERSION)
+            at = src.tell()
+        names = [name for name, _ in meta["entries"]]
+        at += 4 * sum(math.prod(shape) for _, shape in
+                      meta["entries"][:names.index("dec.body0.gamma")])
         raw = bytearray(paths["ck"].read_bytes())
-        name = b"dec.body0.gamma"
-        at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name) + 4 + 8
-        struct.pack_into("<f", raw, at, math.nan)
+        np.frombuffer(raw, "<f4", count=1, offset=at)[0] = math.nan
         paths["nan_ck"].write_bytes(bytes(raw))
         return paths
 
@@ -285,6 +301,11 @@ class TestBadInvocations:
         "train_one_scene": (TRAIN + ["{one}"], "{one}"),
         "train_no_scene": (TRAIN + ["{none}"], "{none}"),
         "train_cut_dataset": (TRAIN + ["{cut_ds}"], "{cut_ds}"),
+        "train_huge_views": (TRAIN + ["{huge_views_ds}"], "{huge_views_ds}: "),
+        "train_huge_scene_count": (TRAIN + ["{huge_count_ds}"], "{huge_count_ds}: "),
+        "train_huge_views_no_scenes": (TRAIN + ["{huge_empty_ds}"], "{huge_empty_ds}: "),
+        "render_huge_views": (RENDER + ["{ck}", "--dataset", "{huge_views_ds}"],
+                              "{huge_views_ds}: "),
         "train_missing_dataset": (TRAIN + ["{ds}.gone"], "{ds}.gone"),
         "train_nan_rotation": (TRAIN + ["{nan_rotation}"],
                                "{nan_rotation}: scene 1 view 1: rotation holds a non-finite"),
@@ -338,9 +359,12 @@ class TestBadInvocations:
         "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
         "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
         "verify_version_3": (["verify-ckpt", "--checkpoint", "{v3_ck}"],
-                             "{v3_ck}: not an RPCK file of version 5"),
+                             "{v3_ck}: not an RPCK file of version 6"),
         "render_version_3": (RENDER + ["{v3_ck}", "--dataset", "{ds}"],
-                             "{v3_ck}: not an RPCK file of version 5"),
+                             "{v3_ck}: not an RPCK file of version 6"),
+        "verify_appended_bytes": (["verify-ckpt", "--checkpoint", "{long_ck}"],
+                                  "{long_ck}: "),
+        "render_appended_bytes": (RENDER + ["{long_ck}", "--dataset", "{ds}"], "{long_ck}: "),
         "verify_zero_height": (["verify-ckpt", "--checkpoint", "{h0_ck}"],
                                "{h0_ck}: height must be at least 1"),
         "verify_zero_heads": (["verify-ckpt", "--checkpoint", "{heads0_ck}"],
