@@ -32,7 +32,9 @@ MAGIC = b"RPCK"
 # 4: parameters only: the conv blocks' norm keeps no running statistics
 # 5: conv weights tap-major [c_out, 3, 3, c_in]; no conv-block or key biases
 # 6: names and shapes in the meta's "entries"; the body is only the values
-VERSION = 6
+# 7: the encoder's first conv weight reads its input channels in the order
+#    image, direction, origin (6 read image, origin, direction; same shape)
+VERSION = 7
 
 
 def _entries(model):

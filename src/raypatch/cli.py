@@ -95,15 +95,23 @@ def run_training(dataset_path, decoder, steps, lr, log_every, **cfg_overrides):
     opt = M.Adam(model.named_parameters(), lr=lr)
     rows = ["step,loss,psnr"]
     window = []
-    for step in range(1, steps + 1):
-        views = train_scenes[(step - 1) % len(train_scenes)]
-        window.append(M.train_step(model, views, opt))
-        if step % log_every == 0:
-            loss = sum(m["loss"] for m in window) / len(window)
-            snr = sum(m["psnr"] for m in window) / len(window)
-            rows.append(f"{step},{loss:.6f},{snr:.3f}")
-            window = []
-    held_metrics = M.evaluate(model, held)
+    # a diverging run ends in the NumericError of the first check that sees
+    # a non-finite value, named with where it happened, not in numpy warnings
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for step in range(1, steps + 1):
+                where = f"step {step}"
+                views = train_scenes[(step - 1) % len(train_scenes)]
+                window.append(M.train_step(model, views, opt))
+                if step % log_every == 0:
+                    loss = sum(m["loss"] for m in window) / len(window)
+                    snr = sum(m["psnr"] for m in window) / len(window)
+                    rows.append(f"{step},{loss:.6f},{snr:.3f}")
+                    window = []
+            where = f"held-out evaluation after step {steps}"
+            held_metrics = M.evaluate(model, held)
+    except T.NumericError as exc:
+        raise T.NumericError(f"{where}: {exc}") from None
     return model, held_metrics, rows
 
 

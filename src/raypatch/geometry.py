@@ -131,43 +131,41 @@ def query_dim(f_origin, f_dir):
     return 6 * f_origin + 6 * f_dir
 
 
-def _ray_rows(intrinsics, pose, pixels):
-    """[n + 1, 3]: the unit directions through ``pixels`` [n, 2], then the camera
-    origin divided by ``SCENE_RADIUS``. One encoding covers the rays and the
-    origin they share."""
-    return np.vstack([unproject(intrinsics, pose, pixels), pose.origin / SCENE_RADIUS])
+def origin_code(pose, f_origin):
+    """The Fourier code [6 * f_origin] of the camera origin divided by
+    ``SCENE_RADIUS``: the origin block of every query row of the view, and
+    the vector the encoder's first convolution reads at every pixel."""
+    return fourier_encode(pose.origin / SCENE_RADIUS, f_origin)
 
 
 def build_queries(intrinsics, pose, height, width, k, f_origin, f_dir):
     """Fourier-encoded (origin, direction) rows for every k x k patch of a target view.
 
     Returns a Tensor [(h/k)(w/k), 6*f_origin + 6*f_dir], rows in the same
-    row-major patch order as ``patch_centers``. The origin is divided by
-    ``SCENE_RADIUS`` before encoding, and its block is the same in every row.
+    row-major patch order as ``patch_centers``. The origin block,
+    ``origin_code``, is the same in every row.
     """
-    rays = _ray_rows(intrinsics, pose, patch_centers(height, width, k))
-    n, n_freq = rays.shape[0] - 1, max(f_origin, f_dir)
-    enc = fourier_encode(rays, n_freq).reshape(n + 1, 3, n_freq, 2)
-    q = np.empty((n, query_dim(f_origin, f_dir)))
-    q[:, :6 * f_origin] = enc[n, :, :f_origin].reshape(-1)
-    q[:, 6 * f_origin:] = enc[:n, :, :f_dir].reshape(n, -1)
+    dirs = unproject(intrinsics, pose, patch_centers(height, width, k))
+    q = np.empty((dirs.shape[0], query_dim(f_origin, f_dir)))
+    q[:, :6 * f_origin] = origin_code(pose, f_origin)
+    q[:, 6 * f_origin:] = fourier_encode(dirs, f_dir)
     return Tensor(q)
 
 
-def ray_feature_map(intrinsics, pose, height, width, f_origin, f_dir, out=None):
-    """Per-pixel query encoding as channels: [6*(f_o+f_d), h, w].
+def ray_feature_map(intrinsics, pose, height, width, f_dir, out=None):
+    """Per-pixel direction encoding as channels: [6 * f_dir, h, w].
 
-    Same features as ``build_queries`` with k = 1, built channel-major
+    The direction block of ``build_queries`` with k = 1, built channel-major
     for the encoder, which passes the rows after its image channels as
-    ``out``; returns ``out`` (a new array if it is None).
+    ``out``; returns ``out`` (a new array if it is None). The origin block is
+    the same at every pixel, so the encoder takes it once per view as
+    ``origin_code``.
     """
     if out is None:
-        out = np.empty((query_dim(f_origin, f_dir), height, width))
-    rays = _ray_rows(intrinsics, pose, patch_centers(height, width, 1))
-    enc = _fourier_channels(rays.T, max(f_origin, f_dir))  # [F, 2, 3, h*w + 1]
-    n_origin = 6 * f_origin
-    out[:n_origin] = enc[:f_origin, :, :, -1].transpose(2, 0, 1).reshape(-1, 1, 1)
+        out = np.empty((6 * f_dir, height, width))
+    dirs = unproject(intrinsics, pose, patch_centers(height, width, 1))
+    enc = _fourier_channels(dirs.T, f_dir)  # [F, 2, 3, h*w]
     # splitting out's first axis is a view whatever its strides
-    dirs = out[n_origin:].reshape(3, f_dir, 2, height, width)
-    dirs[...] = enc[:f_dir, :, :, :-1].reshape(f_dir, 2, 3, height, width).transpose(2, 0, 1, 3, 4)
+    out.reshape(3, f_dir, 2, height, width)[...] = (
+        enc.reshape(f_dir, 2, 3, height, width).transpose(2, 0, 1, 3, 4))
     return out

@@ -1,7 +1,9 @@
 """The light-field model: conv + attention encoder, two interchangeable decoders.
 
 The encoder turns each input view into a token set (stride-2 convolutions
-over image and per-pixel ray channels, then self-attention). Decoding is
+over image and per-pixel ray channels, then self-attention). The camera
+origin's code is the same at every pixel, so the first convolution takes it
+once per view, not as channels of the map. Decoding is
 where the two variants differ:
 
 * ``PixelDecoder`` cross-attends once per output pixel and maps each token
@@ -34,7 +36,7 @@ from . import flops
 from . import tensor as T
 from .blocks import AttnBlock, Linear, uniform_init
 from .costmodel import ConvCost, UpsampleCost
-from .geometry import build_queries, query_dim, ray_feature_map
+from .geometry import build_queries, origin_code, query_dim, ray_feature_map
 
 RGB_WEIGHT = 5.0
 PSNR_CAP = 99.0
@@ -111,10 +113,15 @@ class _Conv:
         w = uniform_init(rng, c_in * 9, (c_out, c_in, 3, 3))  # the draw, reordered once
         self.w, self.stride = T.parameter(w.transpose(0, 2, 3, 1)), stride
 
-    def cost(self, h, w):
-        """The convolution of one call on an h x w map."""
-        c_out, c_in = self.w.shape[0], self.w.shape[3]
-        return [ConvCost(h // self.stride, w // self.stride, c_in, c_out)]
+    def cost(self, h, w, uniform=0):
+        """The convolution of one call on an h x w map, the weight's last
+        ``uniform`` input channels read from a vector (``conv2d(uniform=)``):
+        its 9 taps at one output position."""
+        c_out, c_in = self.w.shape[0], self.w.shape[3] - uniform
+        layers = [ConvCost(h // self.stride, w // self.stride, c_in, c_out)]
+        if uniform:
+            layers.append(ConvCost(1, 1, uniform, c_out))
+        return layers
 
 
 class Conv3x3(_Conv):
@@ -141,8 +148,8 @@ class ConvBlock(_Conv):
         self.gamma = T.parameter(np.ones(c_out))
         self.beta = T.parameter(np.zeros(c_out))
 
-    def __call__(self, x):
-        x = T.conv2d(x, self.w, stride=self.stride)
+    def __call__(self, x, uniform=None):
+        x = T.conv2d(x, self.w, stride=self.stride, uniform=uniform)
         return T.leaky_relu(T.instance_norm(x, self.gamma, self.beta))
 
     def params(self, prefix):
@@ -157,7 +164,15 @@ def _conv_channels(cfg):
 
 
 class Encoder:
-    """Per view: conv downsampling over RGB + ray channels, then joint self-attention."""
+    """Per view: conv downsampling over RGB + ray channels, then joint self-attention.
+
+    The first conv's input channels are the image, the ray directions and the
+    camera origin, in that order. The map holds the image and the directions;
+    the origin's code, the same at every pixel, enters as ``conv2d``'s
+    ``uniform`` vector. The weight is drawn with its channels in a query
+    row's order (image, origin, direction) and reordered once, so a seed
+    gives the same model whichever order the conv reads.
+    """
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
@@ -166,6 +181,8 @@ class Encoder:
         for c_out in _conv_channels(cfg):
             self.convs.append(ConvBlock(rng, c, c_out, stride=2))
             c = c_out
+        w = self.convs[0].w.data
+        w[..., 3:] = np.roll(w[..., 3:], -6 * cfg.n_freq_origin, axis=3)
         self.blocks = [AttnBlock(cfg, rng) for _ in range(cfg.enc_blocks)]
 
     def __call__(self, views):
@@ -176,13 +193,13 @@ class Encoder:
             if np.shape(image) != (3, cfg.height, cfg.width):  # the copy below would broadcast
                 raise ValueError(f"input image must be [3, {cfg.height}, {cfg.width}], "
                                  f"got {list(np.shape(image))}")
-            x = np.empty((3 + cfg.query_channels, cfg.height, cfg.width))
+            x = np.empty((3 + 6 * cfg.n_freq_dir, cfg.height, cfg.width))
             x[:3] = image
-            ray_feature_map(intr, pose, cfg.height, cfg.width,
-                            cfg.n_freq_origin, cfg.n_freq_dir, out=x[3:])
-            x = T.Tensor(x)
+            ray_feature_map(intr, pose, cfg.height, cfg.width, cfg.n_freq_dir, out=x[3:])
+            first, *rest = self.convs
             with flops.stage("encoder_conv"):
-                for conv in self.convs:
+                x = first(T.Tensor(x), uniform=origin_code(pose, cfg.n_freq_origin))
+                for conv in rest:
                     x = conv(x)
             c, hh, ww = x.shape
             tokens.append(T.transpose(T.reshape(x, (c, hh * ww))))
@@ -203,9 +220,11 @@ class Encoder:
     def layer_spec(self, n_views):
         cfg = self.cfg
         view, h, w = [], cfg.height, cfg.width
+        uniform = 6 * cfg.n_freq_origin  # the first conv's origin channels
         for conv in self.convs:
-            view += conv.cost(h, w)
-            h, w = view[-1].out_h, view[-1].out_w
+            layers = conv.cost(h, w, uniform)
+            view += layers
+            h, w, uniform = layers[0].out_h, layers[0].out_w, 0
         layers = n_views * view
         n = n_views * cfg.tokens_per_view()
         for blk in self.blocks:  # self-attention projects its K/V every call
@@ -509,7 +528,7 @@ def train_step(model, views, opt):
         metrics["psnr"] += psnr(rgb.data, v.image) / len(targets)
     total = T.mul(total, 1.0 / len(targets))
     if not np.isfinite(total.data):
-        raise T.NumericError(f"loss diverged at step {opt.t + 1}")
+        raise T.NumericError("the loss is not finite")
     metrics["loss"] = total.item()
     T.backward(total)
     opt.step()

@@ -17,8 +17,8 @@ Design:
     keeps its own output; ``layer_norm`` and ``instance_norm`` keep ``xhat`` and
     ``inv``; ``conv2d`` keeps its phase maps (the zero-padded input split by
     stride phase, about the input's size, for the weight gradient) and the
-    weight (for the input gradient); ``split``, ``reshape``, ``take`` and
-    the upsamplings keep shapes and indices only. ``matmul(a, b, scale=s)``
+    weight's columns of the input (for the input gradient); ``split``,
+    ``reshape``, ``take`` and the upsamplings keep shapes and indices only. ``matmul(a, b, scale=s)``
     multiplies the fresh product by ``s`` in place, so a scaled product
     (attention's logits) is one array, not two;
   * one tape per training step: ``backward`` pops each record as it runs it,
@@ -37,7 +37,8 @@ Design:
 The op set is exactly what the patch-ray model needs: matrix product,
 row softmax, layer norm, instance norm (each channel of one [c, h, w] map
 normalized with its own statistics), 3x3 convolution (stride 1 or 2; w is
-[c_out, 3, 3, c_in]), 2x nearest and bilinear upsampling, and elementwise glue.
+[c_out, 3, 3, c_in], whose last input channels may read one constant vector
+at every pixel), 2x nearest and bilinear upsampling, and elementwise glue.
 
 Allocator: importing this module (so importing ``raypatch``) sets glibc's
 ``mallopt`` thresholds for the whole process: arrays up to 32 MiB come from
@@ -607,7 +608,30 @@ def _tap_runs(stride, pw, c_in):
     return runs
 
 
-def conv2d(x, w, b=None, stride=1):
+def _edge_runs(n_in, n_out, stride):
+    """The output positions along one axis of a 3x3 conv in runs that read the
+    same taps inside the input: (positions, taps), ``taps`` a 0/1 mask over
+    the 3 taps. Only the first and the last position can lose a tap to the
+    zero padding, so there are at most three runs (n_out >= 1)."""
+    cuts = sorted({0, 1, n_out - 1, n_out})
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        src = stride * lo + np.arange(3) - 1
+        runs.append((slice(lo, hi), ((src >= 0) & (src < n_in)).astype(np.float64)))
+    return runs
+
+
+def _edge_blocks(h, w, stride):
+    """The at most nine blocks of output positions of a 3x3 conv over an h x w
+    input in which the same taps fall inside the input: (rows, columns,
+    taps), ``taps`` a 0/1 [9] mask in tap order 3 * ky + kx."""
+    oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
+    return [(ys, xs, np.outer(row_taps, col_taps).reshape(9))
+            for ys, row_taps in _edge_runs(h, oh, stride)
+            for xs, col_taps in _edge_runs(w, ow, stride)]
+
+
+def conv2d(x, w, b=None, stride=1, uniform=None):
     """3x3 convolution of [c_in, h, w] with [c_out, 3, 3, c_in], zero padding 1.
 
     Stride 1 keeps the spatial size; stride 2 halves it (ceil). The input is
@@ -625,20 +649,37 @@ def conv2d(x, w, b=None, stride=1):
     the FLOP counter leaves out: it adds 2 * c_out * c_in * 9 * oh * ow, what
     ``ConvCost`` prices.
 
+    ``uniform``: a constant vector o [n_u] that the weight's last n_u input
+    channels read at every pixel, as if x had n_u more channels each filled
+    with one entry of o (no gradient flows to it). Such a map, zero-padded, adds
+    ``u[:, ky, kx] = w[:, ky, kx, -n_u:] @ o`` for every tap that falls inside
+    the input, so its term is one matrix-vector product and a sum of u over
+    the taps in range, which differ only at the border: at most nine runs of
+    output positions (``_edge_blocks``), each added in place. The counter adds
+    2 * c_out * n_u * 9 for it, ``ConvCost(1, 1, n_u, c_out)``. The weight's
+    columns of x are then a copy, made once per call.
+
     Backward reads the same windows. With ``g`` widened to the grid by zero
     columns, ``dW[:, ky, kx, :] = g @ window.T``, and ``w[:, ky, kx, :].T @ g``
     is added into the window of the maps' gradient, out of which ``x``'s is
-    read. The tape record keeps the phase maps (about the size of ``x``) only
-    for the weight gradient and the weight only for the input gradient; it
-    keeps neither ``x`` nor the output.
+    read. The uniform channels' ``dW[:, ky, kx, -n_u:]`` is the sum of g over
+    the positions where tap (ky, kx) is in range, times o. The tape record
+    keeps the phase maps (about the size of ``x``) only for the weight
+    gradient and the weight only for the input gradient; it keeps neither
+    ``x`` nor the output.
     """
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError("conv2d expects x[c,h,w], w[c_out,3,3,c_in]")
     c_out, kh, kw, c_in = w.shape
     if (kh, kw) != (3, 3):
         raise DimensionError("conv2d kernel must be 3x3")
-    if c_in != x.shape[0]:
-        raise DimensionError(f"conv2d channels: x has {x.shape[0]}, w expects {c_in}")
+    o = np.zeros(0) if uniform is None else np.asarray(uniform, dtype=np.float64)
+    if o.ndim != 1:
+        raise DimensionError(f"conv2d uniform must be a vector, got shape {o.shape}")
+    c_x, n_u = x.shape[0], o.shape[0]
+    if c_x + n_u != c_in:
+        extra = f" and uniform {n_u}" if n_u else ""
+        raise DimensionError(f"conv2d channels: x has {c_x}{extra}, w expects {c_in}")
     if stride not in (1, 2):
         raise DimensionError("conv2d stride must be 1 or 2")
     if b is not None and b.shape != (c_out,):
@@ -647,14 +688,14 @@ def conv2d(x, w, b=None, stride=1):
     oh, ow = (h - 1) // stride + 1, (wd - 1) // stride + 1
     ph, pw = oh + 2 // stride, ow + 2 // stride
     n = oh * pw
-    maps_shape = (stride * stride * c_in, ph * pw + 2 // stride)
+    maps_shape = (stride * stride * c_x, ph * pw + 2 // stride)
     # (map, (dst, src) rows, (dst, src) columns) of each phase map
     cuts = [(stride * py + px, rows, cols)
             for py, rows in enumerate(_phase_cuts(h, stride))
             for px, cols in enumerate(_phase_cuts(wd, stride))]
     maps = np.empty(maps_shape, dtype=np.float64)
     maps[:, ph * pw:] = 0.0
-    grids = maps[:, :ph * pw].reshape(stride * stride, c_in, ph, pw)
+    grids = maps[:, :ph * pw].reshape(stride * stride, c_x, ph, pw)
     for m, (r_dst, r_src), (c_dst, c_src) in cuts:
         grid = grids[m]
         grid[:, r_dst, c_dst] = x.data[:, r_src, c_src]
@@ -662,8 +703,9 @@ def conv2d(x, w, b=None, stride=1):
         grid[:, r_dst.stop:] = 0.0
         grid[:, :, :c_dst.start] = 0.0
         grid[:, :, c_dst.stop:] = 0.0
-    runs = _tap_runs(stride, pw, c_in)
-    w_cols = w.data.reshape(c_out, 9 * c_in)  # column (3 * ky + kx) * c_in + ci
+    runs = _tap_runs(stride, pw, c_x)
+    # column (3 * ky + kx) * c_x + ci; a view of w.data without uniform channels
+    w_cols = w.data[..., :c_x].reshape(c_out, 9 * c_x)
     (cols, rows, off), *rest = runs
     acc = w_cols[:, cols] @ maps[rows, off:off + n]
     for cols, rows, off in rest:
@@ -671,11 +713,16 @@ def conv2d(x, w, b=None, stride=1):
     out_data = acc.reshape(c_out, oh, pw)[:, :, :ow].copy()
     if b is not None:
         out_data += b.data[:, None, None]
+    blocks = _edge_blocks(h, wd, stride) if n_u else []
+    if blocks:
+        u = (w.data[..., c_x:] @ o).reshape(c_out, 9)  # each tap's term
+        for ys, xs, taps in blocks:
+            out_data[:, ys, xs] += (u @ taps)[:, None, None]
     sx, sw, sb = x._slot, w._slot, _slot_of(b)
     out = Tensor(out_data, requires_grad=sx is not None or sw is not None or sb is not None)
-    flops.add_flops(2.0 * c_out * c_in * 9 * oh * ow)
+    flops.add_flops(2.0 * c_out * 9 * (c_x * oh * ow + n_u))
     maps_kept = maps if sw is not None else None
-    w_kept = w_cols if sx is not None else None  # a view of w.data
+    w_kept = w_cols if sx is not None else None
 
     def bwd(g):
         if sb is not None:
@@ -684,16 +731,23 @@ def conv2d(x, w, b=None, stride=1):
         g_ext[:, :, :ow] = g
         g_ext = g_ext.reshape(c_out, n)
         if sw is not None:
-            dw_cols = np.empty((c_out, 9 * c_in), dtype=np.float64)
+            dw_cols = np.empty((c_out, 9 * c_x), dtype=np.float64)
             for cols, rows, off in runs:
                 np.matmul(g_ext, maps_kept[rows, off:off + n].T, out=dw_cols[:, cols])
-            _accumulate(sw, dw_cols.reshape(c_out, 3, 3, c_in), owned=True)
+            dw = dw_cols.reshape(c_out, 3, 3, c_x)
+            if blocks:
+                tap_sums = np.zeros((c_out, 9))  # g summed where each tap is in range
+                for ys, xs, taps in blocks:
+                    tap_sums += np.outer(g[:, ys, xs].sum(axis=(1, 2)), taps)
+                dw = np.concatenate([dw, (tap_sums[:, :, None] * o).reshape(c_out, 3, 3, n_u)],
+                                    axis=3)
+            _accumulate(sw, dw, owned=True)
         if sx is not None:
             dmaps = np.zeros(maps_shape, dtype=np.float64)
             for cols, rows, off in runs:
                 dmaps[rows, off:off + n] += w_kept[:, cols].T @ g_ext
-            dgrids = dmaps[:, :ph * pw].reshape(stride * stride, c_in, ph, pw)
-            dx = np.empty((c_in, h, wd), dtype=np.float64)
+            dgrids = dmaps[:, :ph * pw].reshape(stride * stride, c_x, ph, pw)
+            dx = np.empty((c_x, h, wd), dtype=np.float64)
             for m, (r_dst, r_src), (c_dst, c_src) in cuts:
                 dx[:, r_src, c_src] = dgrids[m, :, r_dst, c_dst]
             _accumulate(sx, dx, owned=True)

@@ -58,16 +58,27 @@ def test_rejects_wrong_version(tmp_path):
         ckpt.load_checkpoint(path)
 
 
-def test_refuses_a_version_5_file(tmp_path):
-    # version 5 stored each entry's name and shape in the body, in front of its values
+def _with_version(tmp_path, version):
     m = M.LightFieldModel(small_cfg(), "raypatch")
     path = tmp_path / "m.rpck"
     ckpt.save_checkpoint(path, m)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 5)
+    raw[4:8] = struct.pack("<I", version)
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="not an RPCK file of version 6 .*version 5"):
-        ckpt.load_checkpoint(path)
+    return path
+
+
+def test_refuses_a_version_5_file(tmp_path):
+    # version 5 stored each entry's name and shape in the body, in front of its values
+    with pytest.raises(ValueError, match="not an RPCK file of version 7 .*version 5"):
+        ckpt.load_checkpoint(_with_version(tmp_path, 5))
+
+
+def test_refuses_a_version_6_file(tmp_path):
+    # version 6 has the same shapes, but its first conv reads the origin
+    # channels before the direction channels: loaded, they would be swapped
+    with pytest.raises(ValueError, match="not an RPCK file of version 7 .*version 6"):
+        ckpt.load_checkpoint(_with_version(tmp_path, 6))
 
 
 @pytest.mark.parametrize("step", [-1, 2.5, True, "3"])

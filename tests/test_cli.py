@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,18 @@ class TestPipeline:
                          str(dataset), "--scene", "99", "--out-rgb",
                          str(tmp_path / "x.ppm")])
         assert code == cli.EXIT_BAD_ARGS
+
+
+@pytest.mark.parametrize("steps,where", [(3, "step 2"), (1, "held-out evaluation after step 1")])
+def test_train_numeric_failure_names_the_step_on_one_line(tmp_path, capsys, steps, where):
+    # lr 1e300 makes the first step's update overflow the next forward
+    data = tmp_path / "d.rpds"
+    ds.make_dataset(data, n_scenes=3, height=16, width=16, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code = cli.main(["train", "--dataset", str(data), "--steps", str(steps), "--lr", "1e300"])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: {where}: softmax_rows: non-finite input\n"
 
 
 def test_readme_table_lists_exactly_the_subcommands():
@@ -359,9 +372,9 @@ class TestBadInvocations:
         "verify_negative_step": (["verify-ckpt", "--checkpoint", "{neg_ck}"], "{neg_ck}"),
         "render_negative_step": (RENDER + ["{neg_ck}", "--dataset", "{ds}"], "{neg_ck}"),
         "verify_version_3": (["verify-ckpt", "--checkpoint", "{v3_ck}"],
-                             "{v3_ck}: not an RPCK file of version 6"),
+                             "{v3_ck}: not an RPCK file of version 7"),
         "render_version_3": (RENDER + ["{v3_ck}", "--dataset", "{ds}"],
-                             "{v3_ck}: not an RPCK file of version 6"),
+                             "{v3_ck}: not an RPCK file of version 7"),
         "verify_appended_bytes": (["verify-ckpt", "--checkpoint", "{long_ck}"],
                                   "{long_ck}: "),
         "render_appended_bytes": (RENDER + ["{long_ck}", "--dataset", "{ds}"], "{long_ck}: "),

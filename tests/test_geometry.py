@@ -121,9 +121,9 @@ class TestQueries:
     def test_k1_equals_pixel_rays(self, rng, intr):
         pose = random_pose(rng)
         q_px = G.build_queries(intr, pose, 8, 8, 1, 4, 4)
-        fmap = G.ray_feature_map(intr, pose, 8, 8, 4, 4)
+        fmap = G.ray_feature_map(intr, pose, 8, 8, 4)
         np.testing.assert_array_equal(
-            fmap, q_px.data.reshape(8, 8, -1).transpose(2, 0, 1))
+            fmap, q_px.data[:, 24:].reshape(8, 8, -1).transpose(2, 0, 1))
 
     def test_direction_block_matches_centers(self, rng, intr):
         pose = random_pose(rng)
@@ -137,13 +137,14 @@ class TestQueries:
         q = G.build_queries(intr, pose, 8, 8, 4, 5, 5)
         assert np.all(q.data[:, :30] == q.data[0, :30])
 
-    @pytest.mark.parametrize("f_origin,f_dir", [(5, 5), (3, 5), (5, 3)])
-    def test_origin_rows_of_the_map_encode_the_origin(self, rng, intr, f_origin, f_dir):
+    @pytest.mark.parametrize("f_origin,f_dir", [(5, 5), (3, 5), (5, 3), (0, 3), (3, 0)])
+    def test_origin_code_is_the_query_origin_block(self, rng, intr, f_origin, f_dir):
+        # the map holds the directions only; the origin is one vector per view
         pose = random_pose(rng)
-        fmap = G.ray_feature_map(intr, pose, 8, 8, f_origin, f_dir)
         q = G.build_queries(intr, pose, 8, 8, 2, f_origin, f_dir)
-        want = G.fourier_encode(pose.origin / G.SCENE_RADIUS, f_origin)
+        code = G.origin_code(pose, f_origin)
+        np.testing.assert_array_equal(code, G.fourier_encode(pose.origin / G.SCENE_RADIUS,
+                                                             f_origin))
         n_origin = 6 * f_origin
-        np.testing.assert_array_equal(fmap[:n_origin],
-                                      np.broadcast_to(want[:, None, None], (n_origin, 8, 8)))
-        np.testing.assert_array_equal(q.data[:, :n_origin], np.broadcast_to(want, (16, n_origin)))
+        np.testing.assert_array_equal(q.data[:, :n_origin], np.broadcast_to(code, (16, n_origin)))
+        assert G.ray_feature_map(intr, pose, 8, 8, f_dir).shape == (6 * f_dir, 8, 8)

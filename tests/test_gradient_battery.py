@@ -38,8 +38,14 @@ def _op_cases(rng):
     probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
     # rows added later draw from a child generator, so every other row keeps
     # the inputs that rng's stream gives it
-    late = rng.spawn(1)[0]
+    late, later = rng.spawn(2)
     probe_mm = T.Tensor(late.standard_normal((5, 4)))
+    # conv2d's uniform channels: the weight's last 3 read conv_o at every pixel
+    conv_o = later.standard_normal(3)
+    conv_wu = T.Tensor(later.standard_normal((3, 3, 3, 5)) * 0.3)
+    conv_xu = T.Tensor(later.standard_normal((2, 5, 7)))
+    probe_s2 = T.Tensor(later.standard_normal((3, 3, 4)))
+    probe_s1 = T.Tensor(later.standard_normal((3, 4, 6)))
 
     return [
         ("matmul", lambda x: sum_all(T.matmul(x, w)),
@@ -73,6 +79,13 @@ def _op_cases(rng):
          T.Tensor(rng.standard_normal((2, 3, 4)))),
         ("nearest2x", lambda x: sum_all(T.upsample_nearest2x(x)),
          T.Tensor(rng.standard_normal((2, 3, 4)))),
+        # the probes weight each border position differently
+        ("conv2d_uniform_w", lambda wt: sum_all(T.mul(
+            T.conv2d(conv_xu, wt, stride=2, uniform=conv_o), probe_s2)),
+         T.Tensor(later.standard_normal((3, 3, 3, 5)) * 0.3)),
+        ("conv2d_uniform_x", lambda x: sum_all(T.mul(
+            T.conv2d(x, conv_wu, uniform=conv_o), probe_s1)),
+         T.Tensor(later.standard_normal((2, 4, 6)))),
     ]
 
 

@@ -17,7 +17,7 @@ from raypatch import tensor as T
 from raypatch.blocks import uniform_init
 from raypatch.costmodel import full_model_flops
 
-from reference_impls import grad_check
+from reference_impls import conv2d_loops, grad_check
 
 
 def tiny_cfg(**kw):
@@ -193,19 +193,56 @@ class TestRayFeatures:
         m.decode(z, views[0].intrinsics, views[0].pose)
         assert calls == {"ray_feature_map": len(views), "build_queries": 1}
 
-    def test_encoder_input_is_the_image_then_the_ray_channels(self, monkeypatch):
+    def test_encoder_input_is_the_image_and_direction_channels(self, monkeypatch):
         seen = []
         conv2d = T.conv2d
 
         def recording(x, *args, **kw):
-            seen.append(x.data.copy())
+            seen.append((x.data.copy(), kw.get("uniform")))
             return conv2d(x, *args, **kw)
 
         monkeypatch.setattr(T, "conv2d", recording)
         view = scene_views()[0]
         M.LightFieldModel(tiny_cfg(), "raypatch").encode([(view.image, view.intrinsics, view.pose)])
-        rays = G.ray_feature_map(view.intrinsics, view.pose, 8, 8, 2, 2)
-        np.testing.assert_array_equal(seen[0], np.concatenate([view.image, rays]))
+        (x, uniform), *rest = seen
+        dirs = G.ray_feature_map(view.intrinsics, view.pose, 8, 8, 2)
+        np.testing.assert_array_equal(x, np.concatenate([view.image, dirs]))
+        # the origin block that every query row of the view holds
+        q = G.build_queries(view.intrinsics, view.pose, 8, 8, 2, 2, 2).data
+        np.testing.assert_array_equal(np.broadcast_to(uniform, (16, 12)), q[:, :12])
+        assert [u for _, u in rest] == [None] * len(rest)
+
+    @pytest.mark.parametrize("f_origin,f_dir", [(2, 2), (0, 2), (2, 0)])
+    def test_encode_equals_the_full_map_through_six_loops(self, monkeypatch, f_origin, f_dir):
+        # the first conv run on the map with the origin's code broadcast to
+        # every pixel, as channels after the directions, by the loop oracle
+        m = M.LightFieldModel(tiny_cfg(n_freq_origin=f_origin, n_freq_dir=f_dir), "raypatch")
+        inputs, _ = M.scene_to_views(scene_views())
+        with T.no_grad():
+            want = m.encode(inputs).data
+        conv2d, calls = T.conv2d, []
+
+        def full_map(x, w, b=None, stride=1, uniform=None):
+            if uniform is None:
+                return conv2d(x, w, b, stride)
+            calls.append(len(uniform))
+            o = np.broadcast_to(uniform[:, None, None], (len(uniform),) + x.shape[1:])
+            return T.Tensor(conv2d_loops(np.concatenate([x.data, o]), w.data, stride=stride))
+
+        monkeypatch.setattr(T, "conv2d", full_map)
+        with T.no_grad():
+            got = m.encode(inputs).data
+        assert calls == [6 * f_origin]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_first_conv_weight_is_the_draw_with_the_origin_channels_last(self):
+        cfg = tiny_cfg(n_freq_origin=3, n_freq_dir=2)
+        w = M.LightFieldModel(cfg, "raypatch").encoder.convs[0].w.data
+        # the draw's channel order is image, origin (18), direction (12)
+        drawn = M.ConvBlock(np.random.default_rng(cfg.seed), 3 + 30, 8, stride=2).w.data
+        assert w.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(
+            w, np.concatenate([drawn[..., :3], drawn[..., 21:], drawn[..., 3:21]], axis=3))
 
     def test_rejects_an_image_of_the_wrong_shape(self):
         view = scene_views()[0]

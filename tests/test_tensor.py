@@ -259,6 +259,45 @@ class TestConv2dBitEqual:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+class TestConv2dUniform:
+    """``uniform=o``: the weight's last len(o) input channels read o at every
+    pixel, so the op must equal the six loops on x with o broadcast as channels."""
+
+    @pytest.mark.parametrize("n_u", [0, 1, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", TestConv2dBitEqual.SIZES)
+    def test_output_and_grads_match_six_loops_on_the_broadcast_map(self, rng, stride, h, w, n_u):
+        x, _, b, g = TestConv2dBitEqual.draw(rng, h, w, stride)
+        o = rng.standard_normal(n_u)
+        wt = rng.standard_normal((2, 3, 3, 3 + n_u))
+        full = np.concatenate([x, np.broadcast_to(o[:, None, None], (n_u, h, w))])
+        out, (dx, dw, db) = weighted_sum_grads(
+            lambda *t: T.conv2d(*t, stride=stride, uniform=o), [x, wt, b], g)
+        want_dx, want_dw, want_db = conv2d_grads_loops(full, wt, g, stride=stride)
+        np.testing.assert_allclose(out, conv2d_loops(full, wt, b, stride=stride),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, want_dx[:3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
+
+    def test_an_empty_vector_is_no_uniform_bit_for_bit(self, rng):
+        x, wt, b, g = TestConv2dBitEqual.draw(rng, 5, 6, 2)
+        plain = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=2), [x, wt, b], g)
+        empty = weighted_sum_grads(lambda *t: T.conv2d(*t, stride=2, uniform=np.zeros(0)),
+                                   [x, wt, b], g)
+        assert_same_bits(empty[0], plain[0])
+        for got, want in zip(empty[1], plain[1]):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("uniform,match", [
+        (np.zeros(2), r"x has 3 and uniform 2, w expects 4"),
+        (np.zeros((1, 1)), r"uniform must be a vector, got shape \(1, 1\)")])
+    def test_rejects_a_uniform_the_weight_does_not_read(self, rng, uniform, match):
+        with pytest.raises(T.DimensionError, match=match):
+            T.conv2d(Tensor(rng.standard_normal((3, 4, 4))),
+                     Tensor(rng.standard_normal((2, 3, 3, 4))), uniform=uniform)
+
+
 class TestTapeHoldsOnlyWhatBackwardReads:
     @staticmethod
     def held_bytes(run):
@@ -372,6 +411,10 @@ _LIVENESS = {
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2),
                [((2, 5, 6), True), ((3, 3, 3, 2), True), ((3,), True)],
                (False, True, False), False),
+    # the record keeps the weight's x columns as a copy, not the weight
+    "conv2d_uniform": (lambda x, w, b: T.conv2d(x, w, b, stride=2, uniform=np.ones(2)),
+                       [((2, 5, 6), True), ((3, 3, 3, 4), True), ((3,), True)],
+                       (False, False, False), False),
     "conv2d_of_constant": (T.conv2d, [((2, 5, 6), False), ((3, 3, 3, 2), True), ((3,), True)],
                            (False, False, False), False),
     "upsample_nearest2x": (T.upsample_nearest2x, [((2, 3, 4), True)], (False,), False),
