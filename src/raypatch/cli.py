@@ -206,6 +206,8 @@ def cmd_dataset(args):
                         ("--width", args.width)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     ds.make_dataset(args.out, args.scenes, args.height, args.width, args.seed)
     size = os.path.getsize(args.out)
     expect = ds.predicted_file_size(args.scenes, args.height, args.width, args.seed)

@@ -13,6 +13,7 @@ and are excluded from depth losses. A dataset file (magic RPDS) is a
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
@@ -112,14 +113,30 @@ def rig_views(height, width):
     return [(intr, rig_pose(i * 360.0 / RIG_VIEWS)) for i in range(RIG_VIEWS)]
 
 
+@functools.lru_cache(maxsize=4)
+def _rig_rays(height, width):
+    """(intrinsics, pose, unit pixel rays) of each rig view, built once per
+    image size. Every scene shares them, so their arrays are read-only."""
+    centers = patch_centers(height, width, 1)  # pixel centers, row-major
+    views = []
+    for intr, pose in rig_views(height, width):
+        dirs = unproject(intr, pose, centers)
+        for a in (pose.rotation, pose.origin, dirs):
+            a.flags.writeable = False
+        views.append((intr, pose, dirs))
+    return tuple(views)
+
+
 # ---------------------------------------------------------------------------
-# analytic intersection
+# analytic intersection: origins are one [3] origin shared by all n rays, or
+# [n, 3], one per ray; every formula broadcasts either against dirs [n, 3]
 # ---------------------------------------------------------------------------
 
 def _sphere_t(sph, origins, dirs):
     oc = origins - sph.center
-    b = np.einsum("ij,ij->i", oc, dirs)
-    disc = b * b - (np.einsum("ij,ij->i", oc, oc) - sph.radius ** 2)
+    # one [3] oc gives the bits of the same einsum on oc tiled to [n, 3]
+    b = np.einsum("...j,...j->...", oc, dirs)
+    disc = b * b - (np.einsum("...j,...j->...", oc, oc) - sph.radius ** 2)
     hit = disc >= 0.0
     sq = np.sqrt(np.where(hit, disc, 0.0))
     t_near = -b - sq
@@ -132,13 +149,12 @@ def _box_t(box, origins, dirs):
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (box.lo - origins) / dirs
         t2 = (box.hi - origins) / dirs
-    # rays parallel to a slab: +-inf bounds sort correctly unless the origin
-    # coordinate sits outside the slab, where min/max produce nan -> miss
-    t_lo = np.nanmin(np.stack([t1, t2]), axis=0)
-    t_hi = np.nanmax(np.stack([t1, t2]), axis=0)
-    near = t_lo.max(axis=1)
-    far = t_hi.min(axis=1)
-    inside = (origins > box.lo).all(axis=1) & (origins < box.hi).all(axis=1)
+    # a ray parallel to a slab gets +-inf bounds, which sort correctly; an
+    # origin on the slab's face gives 0/0 = nan there, which fmin/fmax skip
+    t_lo, t_hi = np.fmin(t1, t2), np.fmax(t1, t2)
+    near = np.maximum(np.maximum(t_lo[:, 0], t_lo[:, 1]), t_lo[:, 2])
+    far = np.minimum(np.minimum(t_hi[:, 0], t_hi[:, 1]), t_hi[:, 2])
+    inside = (origins > box.lo).all(axis=-1) & (origins < box.hi).all(axis=-1)
     t = np.where(near > _EPS, near, far)
     ok = (near <= far) & (far > _EPS)
     # origin on a face with a parallel ray can produce nan; treat as miss
@@ -148,9 +164,9 @@ def _box_t(box, origins, dirs):
 
 def _floor_t(origins, dirs):
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = -origins[:, 2] / dirs[:, 2]
-    px = origins[:, 0] + t * dirs[:, 0]
-    py = origins[:, 1] + t * dirs[:, 1]
+        t = -origins[..., 2] / dirs[:, 2]
+        px = origins[..., 0] + t * dirs[:, 0]
+        py = origins[..., 1] + t * dirs[:, 1]
     ok = np.isfinite(t) & (t > _EPS) & (px * px + py * py <= FLOOR_RADIUS ** 2)
     return np.where(ok, t, np.inf)
 
@@ -158,24 +174,22 @@ def _floor_t(origins, dirs):
 def trace_rays(spec, origins, dirs):
     """Closest hit for each ray: (t [n], hit_id [n]).
 
+    ``origins`` is one [3] origin that every ray leaves from, or [n, 3].
     hit_id indexes ``spec.objects``; ``spec.floor_id`` marks the floor and -1
     a miss (t = inf there).
     """
-    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    n = origins.shape[0]
-    best_t = np.full(n, np.inf)
-    best_id = np.full(n, -1, dtype=np.int64)
-    for idx, obj in enumerate(spec.objects):
-        t = _sphere_t(obj, origins, dirs) if isinstance(obj, Sphere) else _box_t(obj, origins, dirs)
-        closer = t < best_t
-        best_t[closer] = t[closer]
-        best_id[closer] = idx
+    hits = [_sphere_t(obj, origins, dirs) if isinstance(obj, Sphere) else _box_t(obj, origins, dirs)
+            for obj in spec.objects]
     if spec.floor_color is not None:
-        t = _floor_t(origins, dirs)
+        hits.append(_floor_t(origins, dirs))  # at index floor_id
+    best_t = np.full(dirs.shape[0], np.inf)
+    best_id = np.full(dirs.shape[0], -1, dtype=np.int64)
+    for idx, t in enumerate(hits):
         closer = t < best_t
-        best_t[closer] = t[closer]
-        best_id[closer] = spec.floor_id
+        best_t = np.where(closer, t, best_t)
+        best_id = np.where(closer, idx, best_id)
     return best_t, best_id
 
 
@@ -192,39 +206,28 @@ def _normals(spec, hit_id, points):
             half = (obj.hi - obj.lo) / 2.0
             rel = (points[sel] - center) / half
             face = np.argmax(np.abs(rel), axis=1)
-            nv = np.zeros((sel.sum(), 3))
-            nv[np.arange(sel.sum()), face] = np.sign(rel[np.arange(sel.sum()), face])
-            n[sel] = nv
-    sel = hit_id == spec.floor_id
-    n[sel] = [0.0, 0.0, 1.0]
+            n[sel] = np.where(face[:, None] == np.arange(3), np.sign(rel), 0.0)
+    n[hit_id == spec.floor_id, 2] = 1.0
     return n
 
 
 def shade(spec, hit_id, points):
     """Lambertian with a fixed directional light and ambient floor term."""
-    colors = np.empty((hit_id.shape[0], 3))
-    colors[:] = BACKGROUND
-    hit = hit_id >= 0
-    if hit.any():
-        albedo = np.empty((hit_id.shape[0], 3))
-        for idx, obj in enumerate(spec.objects):
-            albedo[hit_id == idx] = obj.color
-        if spec.floor_color is not None:
-            albedo[hit_id == spec.floor_id] = spec.floor_color
-        normals = _normals(spec, hit_id, points)
-        lambert = np.maximum(0.0, normals @ (-LIGHT_DIR))
-        shade_f = AMBIENT + (1.0 - AMBIENT) * lambert
-        colors[hit] = albedo[hit] * shade_f[hit, None]
-    return colors
+    # one albedo row per hit_id: the objects, the floor, and the background
+    # last, where hit_id -1 reads it; a miss keeps it at a shade factor of 1
+    floor = [] if spec.floor_color is None else [spec.floor_color]
+    palette = np.array([obj.color for obj in spec.objects] + floor + [BACKGROUND])
+    normals = _normals(spec, hit_id, points)
+    lambert = np.maximum(0.0, normals @ (-LIGHT_DIR))
+    shade_f = np.where(hit_id >= 0, AMBIENT + (1.0 - AMBIENT) * lambert, 1.0)
+    return palette[hit_id] * shade_f[:, None]
 
 
-def render_view(spec, intrinsics, pose, height, width):
-    """Ray-cast one view: [3, h, w] image, per-pixel depth with NaN sky."""
-    centers = patch_centers(height, width, 1)  # pixel centers, row-major
-    dirs = unproject(intrinsics, pose, centers)
-    origins = np.tile(pose.origin, (dirs.shape[0], 1))
-    t, hit_id = trace_rays(spec, origins, dirs)
-    points = origins + dirs * np.where(np.isfinite(t), t, 0.0)[:, None]
+def render_view(spec, intrinsics, pose, height, width, dirs):
+    """Ray-cast one view along its unit pixel rays ``dirs`` [h * w, 3],
+    row-major: [3, h, w] image, per-pixel depth with NaN sky."""
+    t, hit_id = trace_rays(spec, pose.origin, dirs)
+    points = pose.origin + dirs * np.where(np.isfinite(t), t, 0.0)[:, None]
     colors = shade(spec, hit_id, points)
     image = colors.reshape(height, width, 3).transpose(2, 0, 1)
     depth = np.where(np.isfinite(t), t, np.nan).reshape(height, width)
@@ -234,8 +237,8 @@ def render_view(spec, intrinsics, pose, height, width):
 
 def render_scene_views(spec, height, width):
     """The three rig views of one scene; view 0 is the encoder input."""
-    return [render_view(spec, intr, pose, height, width)
-            for intr, pose in rig_views(height, width)]
+    return [render_view(spec, intr, pose, height, width, dirs)
+            for intr, pose, dirs in _rig_rays(height, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +282,21 @@ def _check_header(header, path):
             raise ValueError(f"{path}: header {key!r} is {header[key]!r}")
 
 
+def _record_type(height, width, path):
+    """``view_record(height, width)``, or a ValueError naming ``path`` when a
+    field would pass numpy's 2 GiB limit."""
+    try:
+        return view_record(height, width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {height}x{width} views do not fit a numpy record "
+                         f"({exc})") from exc
+
+
 def make_dataset(path, n_scenes, height, width, seed):
     """Render ``n_scenes`` procedural scenes (scene i uses seed ``seed + i``) to ``path``."""
     header = _header_dict(n_scenes, height, width, seed)
     _check_header(header, path)  # write nothing that load_dataset would refuse
-    records = np.zeros(RIG_VIEWS, dtype=view_record(height, width))
+    records = np.zeros(RIG_VIEWS, dtype=_record_type(height, width, path))
     with open(path, "wb") as fh:
         write_header(fh, MAGIC, VERSION, header)
         for i in range(n_scenes):
@@ -304,11 +317,8 @@ def load_dataset(path):
         _check_header(header, path)
         n_scenes, h, w = header["n_scenes"], header["h"], header["w"]
         check_body(fh, path, _body_size(n_scenes, h, w))
-        try:
-            record = view_record(h, w)
-        except ValueError as exc:  # a field over 2 GiB: a file of no scenes, or of many GiB
-            raise ValueError(f"{path}: {h}x{w} views do not fit a numpy record ({exc})") from exc
-        records = np.fromfile(fh, dtype=record, count=n_scenes * RIG_VIEWS)
+        # a record past 2 GiB here: a file of no scenes, or of many GiB
+        records = np.fromfile(fh, dtype=_record_type(h, w, path), count=n_scenes * RIG_VIEWS)
     records = records.reshape(n_scenes, RIG_VIEWS)
     for (s, v), rec in np.ndenumerate(records):
         fault = _view_fault(rec)

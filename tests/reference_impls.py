@@ -5,10 +5,14 @@ textbook formulas) and must stay decoupled from the package internals: these
 functions define what the fast implementations are checked against.
 """
 
+import warnings
+
 import numpy as np
 
+from raypatch import datasynth as ds
 from raypatch import tensor as T
 from raypatch.costmodel import AttnProductCost, ConvCost, LinearCost, UpsampleCost
+from raypatch.geometry import patch_centers, unproject
 
 
 def matmul_loops(a, b):
@@ -234,6 +238,88 @@ def trace_ray_scalar(spec, origin, direction, floor_radius=4.0):
             if hit[0] ** 2 + hit[1] ** 2 <= floor_radius ** 2:
                 best_t, best_id = t, len(spec.objects)
     return best_t, best_id
+
+
+def render_view_masked(spec, intrinsics, pose, height, width):
+    """One view ray-cast the plain way: (image [3, h, w], depth [h, w]), float32.
+
+    The camera origin is tiled to one row per ray, each box's slab bounds are
+    stacked and reduced with nanmin/nanmax, and hits, normals and albedo are
+    scattered through one boolean mask per object. The package renders the
+    same bits with one broadcast origin; the scene constants are its own.
+    """
+    dirs = unproject(intrinsics, pose, patch_centers(height, width, 1))
+    origins = np.tile(pose.origin, (dirs.shape[0], 1))
+    best_t = np.full(dirs.shape[0], np.inf)
+    best_id = np.full(dirs.shape[0], -1, dtype=np.int64)
+    hits = [_sphere_t_masked(obj, origins, dirs) if hasattr(obj, "radius")
+            else _box_t_masked(obj, origins, dirs) for obj in spec.objects]
+    if spec.floor_color is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -origins[:, 2] / dirs[:, 2]
+            px = origins[:, 0] + t * dirs[:, 0]
+            py = origins[:, 1] + t * dirs[:, 1]
+        ok = np.isfinite(t) & (t > 1e-9) & (px * px + py * py <= ds.FLOOR_RADIUS ** 2)
+        hits.append(np.where(ok, t, np.inf))
+    for idx, t in enumerate(hits):
+        closer = t < best_t
+        best_t[closer] = t[closer]
+        best_id[closer] = idx
+    points = origins + dirs * np.where(np.isfinite(best_t), best_t, 0.0)[:, None]
+
+    colors = np.empty((dirs.shape[0], 3))
+    colors[:] = ds.BACKGROUND
+    hit = best_id >= 0
+    if hit.any():
+        albedo = np.empty((dirs.shape[0], 3))
+        normals = np.zeros_like(points)
+        for idx, obj in enumerate(spec.objects):
+            sel = best_id == idx
+            albedo[sel] = obj.color
+            if not sel.any():
+                continue
+            if hasattr(obj, "radius"):
+                normals[sel] = (points[sel] - obj.center) / obj.radius
+            else:
+                rel = (points[sel] - (obj.lo + obj.hi) / 2.0) / ((obj.hi - obj.lo) / 2.0)
+                face = np.argmax(np.abs(rel), axis=1)
+                nv = np.zeros((sel.sum(), 3))
+                nv[np.arange(sel.sum()), face] = np.sign(rel[np.arange(sel.sum()), face])
+                normals[sel] = nv
+        floor = best_id == len(spec.objects)
+        if spec.floor_color is not None:
+            albedo[floor] = spec.floor_color
+        normals[floor] = [0.0, 0.0, 1.0]
+        lambert = np.maximum(0.0, normals @ (-ds.LIGHT_DIR))
+        shade_f = ds.AMBIENT + (1.0 - ds.AMBIENT) * lambert
+        colors[hit] = albedo[hit] * shade_f[hit, None]
+    image = colors.reshape(height, width, 3).transpose(2, 0, 1)
+    depth = np.where(np.isfinite(best_t), best_t, np.nan).reshape(height, width)
+    return image.astype(np.float32), depth.astype(np.float32)
+
+
+def _sphere_t_masked(sph, origins, dirs):
+    oc = origins - sph.center
+    b = np.einsum("ij,ij->i", oc, dirs)
+    disc = b * b - (np.einsum("ij,ij->i", oc, oc) - sph.radius ** 2)
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t = np.where(-b - sq > 1e-9, -b - sq, -b + sq)
+    return np.where(hit & (t > 1e-9), t, np.inf)
+
+
+def _box_t_masked(box, origins, dirs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (box.lo - origins) / dirs
+        t2 = (box.hi - origins) / dirs
+    with warnings.catch_warnings():  # all-nan slabs: an origin on both faces
+        warnings.simplefilter("ignore", RuntimeWarning)
+        near = np.nanmin(np.stack([t1, t2]), axis=0).max(axis=1)
+        far = np.nanmax(np.stack([t1, t2]), axis=0).min(axis=1)
+    inside = (origins > box.lo).all(axis=1) & (origins < box.hi).all(axis=1)
+    t = np.where(near > 1e-9, near, far)
+    ok = (near <= far) & (far > 1e-9) & (np.isfinite(t) | inside)
+    return np.where(ok, t, np.inf)
 
 
 # ---------------------------------------------------------------------------

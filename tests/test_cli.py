@@ -304,6 +304,15 @@ class TestBadInvocations:
                                     "--height must be at least 1, got -4"),
         "dataset_zero_width": (["dataset", "--out", "{x}", "--width", "0"],
                                "--width must be at least 1, got 0"),
+        "dataset_negative_seed": (["dataset", "--out", "{x}", "--seed", "-5"],
+                                  "--seed must be at least 0, got -5"),
+        # a record field past numpy's 2 GiB limit, refused before the file is opened
+        "dataset_huge_views": (["dataset", "--out", "{x}", "--height", "70000",
+                                "--width", "70000"],
+                               "{x}: 70000x70000 views do not fit a numpy record"),
+        "dataset_huge_width": (["dataset", "--out", "{x}", "--height", "1",
+                                "--width", "600000000"],
+                               "{x}: 1x600000000 views do not fit a numpy record"),
         "dataset_out_dir_missing": (["dataset", "--out", "{x}.d/x.rpds", "--scenes", "2",
                                      "--height", "8", "--width", "8"],
                                     "--out {x}.d/x.rpds: its directory does not exist"),
@@ -415,6 +424,13 @@ class TestBadInvocations:
     def test_dataset_size_below_1_writes_nothing(self, tmp_path, flag):
         out = tmp_path / "x.rpds"
         assert cli.main(["dataset", "--out", str(out), flag, "0"]) == cli.EXIT_BAD_ARGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["dataset_negative_seed", "dataset_huge_views",
+                                      "dataset_huge_width"])
+    def test_dataset_refusal_writes_nothing(self, tmp_path, case):
+        out = tmp_path / "x.ppm"
+        assert cli.main([a.format(x=out) for a in self.CASES[case][0]]) == cli.EXIT_BAD_ARGS
         assert not out.exists()
 
     def test_render_with_a_bad_depth_path_writes_no_image(self, files, tmp_path, capsys):
