@@ -65,6 +65,9 @@ class MultiHeadAttention:
     last ``x_kv`` object and reuses them while it is passed again. They are a
     snapshot of the weights: after changing the weights, pass in a new ``x_kv``.
     Recorded calls and self-attention project every time and keep nothing.
+
+    Without recording, the heads, and the K and V projections, run as
+    ``tensor._branches`` when large enough; recorded calls run them in turn.
     """
 
     def __init__(self, cfg, rng):
@@ -78,8 +81,17 @@ class MultiHeadAttention:
     def project_kv(self, x_kv):
         """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
         cfg = self.cfg
-        k_t = T.split(T.transpose(T.matmul(x_kv, self.k_weight)), [cfg.d_k] * cfg.heads)
-        return list(zip(k_t, T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)))
+
+        def keys():
+            return T.split(T.transpose(T.matmul(x_kv, self.k_weight)), [cfg.d_k] * cfg.heads)
+
+        def values():
+            return T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)
+
+        k_cost, v_cost = self.kv_cost(x_kv.shape[0])
+        k_t, v = T._branches(lambda branch: branch(), [(keys,), (values,)],
+                             min(k_cost.flops(), v_cost.flops()))
+        return list(zip(k_t, v))
 
     def kv_cost(self, n_kv):
         """Layers of ``project_kv`` on ``n_kv`` tokens."""
@@ -92,7 +104,9 @@ class MultiHeadAttention:
         if kept and self._kv[0] is not x_kv:
             self._kv = (x_kv, self.project_kv(x_kv))
         kv = self._kv[1] if kept else self.project_kv(x_kv)
-        head_outs = [scaled_dot_attention(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)]
+        head = AttnProductCost(1, x_q.shape[0], x_kv.shape[0], self.cfg.d_k, self.cfg.d_v)
+        head_outs = T._branches(scaled_dot_attention,
+                                [(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)], head.flops())
         return self.out(T.concat(head_outs, axis=1))
 
     def cost(self, n_q, n_kv):

@@ -9,10 +9,12 @@ both sides so instrumented and analytic totals stay comparable.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 _counters: list["FlopCounter"] = []
 _stages: list[str] = []  # the open stages, innermost last
+_lock = threading.Lock()  # branch workers (tensor._branches) add FLOPs too
 
 
 class FlopCounter:
@@ -43,10 +45,11 @@ def stage(name):
 
 
 def add_flops(flops):
-    for c in _counters:
-        c.total += flops
-        if _stages:
-            c.by_stage[_stages[-1]] = c.by_stage.get(_stages[-1], 0.0) + flops
+    with _lock:
+        for c in _counters:
+            c.total += flops
+            if _stages:
+                c.by_stage[_stages[-1]] = c.by_stage.get(_stages[-1], 0.0) + flops
 
 
 def count_queries(name, n):

@@ -35,7 +35,7 @@ import numpy as np
 from . import flops
 from . import tensor as T
 from .blocks import AttnBlock, Linear, uniform_init
-from .costmodel import ConvCost, UpsampleCost
+from .costmodel import ConvCost, UpsampleCost, full_model_flops
 from .geometry import build_queries, origin_code, query_dim, ray_feature_map
 
 RGB_WEIGHT = 5.0
@@ -184,11 +184,15 @@ class Encoder:
         w = self.convs[0].w.data
         w[..., 3:] = np.roll(w[..., 3:], -6 * cfg.n_freq_origin, axis=3)
         self.blocks = [AttnBlock(cfg, rng) for _ in range(cfg.enc_blocks)]
+        self._view_flops = full_model_flops(self._view_layers())
 
     def __call__(self, views):
-        """views: iterable of (image [3,h,w], intrinsics, pose). Returns tokens [n, d]."""
+        """views: iterable of (image [3,h,w], intrinsics, pose). Returns tokens [n, d].
+
+        Each view's input is built first; the views' conv stacks are then
+        ``tensor._branches``, in parallel without recording when large enough."""
         cfg = self.cfg
-        tokens = []
+        inputs = []
         for image, intr, pose in views:
             if np.shape(image) != (3, cfg.height, cfg.width):  # the copy below would broadcast
                 raise ValueError(f"input image must be [3, {cfg.height}, {cfg.width}], "
@@ -196,18 +200,23 @@ class Encoder:
             x = np.empty((3 + 6 * cfg.n_freq_dir, cfg.height, cfg.width))
             x[:3] = image
             ray_feature_map(intr, pose, cfg.height, cfg.width, cfg.n_freq_dir, out=x[3:])
-            first, *rest = self.convs
-            with flops.stage("encoder_conv"):
-                x = first(T.Tensor(x), uniform=origin_code(pose, cfg.n_freq_origin))
-                for conv in rest:
-                    x = conv(x)
-            c, hh, ww = x.shape
-            tokens.append(T.transpose(T.reshape(x, (c, hh * ww))))
+            inputs.append((T.Tensor(x), origin_code(pose, cfg.n_freq_origin)))
+        with flops.stage("encoder_conv"):
+            tokens = T._branches(self._view_tokens, inputs, self._view_flops)
         z = tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
         with flops.stage("encoder_attn"):
             for blk in self.blocks:
                 z = blk(z)
         return z
+
+    def _view_tokens(self, x, origin):
+        """One view's conv stack: the input map and its origin code -> tokens [n, d]."""
+        first, *rest = self.convs
+        x = first(x, uniform=origin)
+        for conv in rest:
+            x = conv(x)
+        c, hh, ww = x.shape
+        return T.transpose(T.reshape(x, (c, hh * ww)))
 
     def params(self):
         out = []
@@ -217,7 +226,8 @@ class Encoder:
             out += blk.params(f"enc.block{i}")
         return out
 
-    def layer_spec(self, n_views):
+    def _view_layers(self):
+        """Layers of one view's conv stack."""
         cfg = self.cfg
         view, h, w = [], cfg.height, cfg.width
         uniform = 6 * cfg.n_freq_origin  # the first conv's origin channels
@@ -225,7 +235,11 @@ class Encoder:
             layers = conv.cost(h, w, uniform)
             view += layers
             h, w, uniform = layers[0].out_h, layers[0].out_w, 0
-        layers = n_views * view
+        return view
+
+    def layer_spec(self, n_views):
+        cfg = self.cfg
+        layers = n_views * self._view_layers()
         n = n_views * cfg.tokens_per_view()
         for blk in self.blocks:  # self-attention projects its K/V every call
             layers += blk.mha.kv_cost(n) + blk.cost(n, n)
@@ -483,8 +497,12 @@ class Adam:
         self.v = [np.zeros_like(p.data) for _, p in self.params]
 
     def step(self):
-        self.t += 1
+        """One update; a gradient norm that is not finite raises ``NumericError``
+        before any parameter or moment changes."""
         norm = T.global_grad_norm([p for _, p in self.params])
+        if not math.isfinite(norm):
+            raise T.NumericError("the gradient norm is not finite")
+        self.t += 1
         scale = 1.0 if norm <= GRAD_CLIP else GRAD_CLIP / norm
         for (_, p), m, v in zip(self.params, self.m, self.v):
             if p.grad is None:

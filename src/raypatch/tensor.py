@@ -47,8 +47,17 @@ kept instead of being returned to the system. A train step frees its
 activations during backward; with the defaults the next step faulted the
 same pages back in, about 6,000 minor faults per ``pixel`` step at the CLI
 default config and 1,450 per ``raypatch`` step, against 0-3 with these
-thresholds. Where there is no glibc ``mallopt`` nothing is set. No
-arithmetic depends on it.
+thresholds. ``M_ARENA_MAX`` is 1: the branch workers (below) allocate from
+the one main heap instead of an arena each, which held the ``render``
+benchmark's peak RSS at 247-249 MiB against 260-262. Where there is no
+glibc ``mallopt`` nothing is set. No arithmetic depends on it.
+
+Branches: without gradient recording, ``_branches`` runs independent chains
+of ops (attention heads, K and V projections, encoder input views) on the
+caller's thread and on CPUs that BLAS leaves idle, when each chain has at
+least ``BRANCH_FLOPS``. Each chain runs the ops it runs serially, so results
+are bit-identical; recorded calls run serially, so the tape order is the
+serial one.
 """
 
 from __future__ import annotations
@@ -56,6 +65,8 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -68,13 +79,15 @@ NORM_EPS = 1e-5     # added to each row's variance by layer_norm and instance_no
 
 M_TRIM_THRESHOLD = -1          # glibc mallopt parameter numbers (malloc.h)
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's maximum: smaller blocks come from the heap
 TRIM_THRESHOLD_BYTES = 64 << 20  # free heap top kept before trimming it back
 
 
 def _keep_heap_pages():
     """Raise glibc's mmap and trim thresholds so that freed activations stay
-    mapped for the next step; a no-op without glibc's ``mallopt``."""
+    mapped for the next step, and keep every thread on one arena; a no-op
+    without glibc's ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -83,9 +96,79 @@ def _keep_heap_pages():
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 _keep_heap_pages()
+
+# Smallest branch, in FLOPs, that ``_branches`` hands to a worker. Below it
+# the hand-over costs more than the overlap saves (see README, "Branches").
+BRANCH_FLOPS = 2e7
+
+
+def _blas_threads():
+    """The thread count of numpy's OpenBLAS, or None where it cannot be read."""
+    core = np._core if int(np.__version__.split(".")[0]) >= 2 else np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return None
+
+
+def _spare_workers():
+    """CPUs this process may run on that BLAS leaves idle: 0 where the BLAS
+    thread count is unknown."""
+    blas = _blas_threads()
+    return 0 if blas is None else max(len(os.sched_getaffinity(0)) - blas, 0)
+
+
+_SPARE = _spare_workers()
+_pool = None  # the branch workers, started on first use
+
+
+def _branches(fn, args, flops_each):
+    """``[fn(*a) for a in args]``, the branches shared between the caller's
+    thread and up to ``_SPARE`` workers when gradients are not recorded, there
+    is a spare CPU and each branch has at least ``BRANCH_FLOPS``
+    (``flops_each``); serially otherwise.
+
+    Each thread takes the next branch not yet taken, so the results are the
+    serial ones, in order. Workers run under the caller's numpy error state.
+    If a branch raises, the others still finish before the error is raised.
+    """
+    lanes = min(_SPARE + 1, len(args))
+    if _tape is not None or lanes < 2 or flops_each < BRANCH_FLOPS:
+        return [fn(*a) for a in args]
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=_SPARE, thread_name_prefix="raypatch-branch")
+    results, order, err = [None] * len(args), itertools.count(), np.geterr()
+
+    def lane():
+        with np.errstate(**err):
+            for i in order:
+                if i >= len(args):
+                    return
+                results[i] = fn(*args[i])
+
+    futures = [_pool.submit(lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        for f in futures:
+            f.cancel()  # a lane not started yet would find no branch left
+        wait(futures)
+    for f in futures:
+        if not f.cancelled():
+            f.result()  # a worker's error
+    return results
 
 
 class DimensionError(ValueError):

@@ -162,6 +162,23 @@ def test_train_numeric_failure_names_the_step_on_one_line(tmp_path, capsys, step
     assert capsys.readouterr().err == f"numeric failure: {where}: softmax_rows: non-finite input\n"
 
 
+def test_train_names_the_step_of_a_gradient_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "d.rpds"
+    ds.make_dataset(data, n_scenes=3, height=16, width=16, seed=0)
+    step, calls = M.Adam.step, []
+
+    def step_with_inf_on_the_second_call(opt):
+        calls.append(opt.t)
+        if len(calls) == 2:
+            opt.params[0][1].grad.flat[0] = np.inf
+        return step(opt)
+
+    monkeypatch.setattr(M.Adam, "step", step_with_inf_on_the_second_call)
+    code = cli.main(["train", "--dataset", str(data), "--steps", "3"])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: step 2: the gradient norm is not finite\n"
+
+
 def test_readme_table_lists_exactly_the_subcommands():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     table = text.split("## Subcommands", 1)[1].split("\n## ", 1)[0]

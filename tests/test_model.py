@@ -554,6 +554,20 @@ class TestTraining:
         np.testing.assert_allclose(m, 0.1 * 0.9 * np.array([0.3, -0.2, 0.1])
                                    + 0.1 * np.array([-0.1, 0.4, 0.2]))
 
+    def test_adam_refuses_a_gradient_norm_that_is_not_finite(self):
+        # one infinite entry: the clip scale GRAD_CLIP / inf is 0, and inf * 0 is NaN
+        p, q = T.parameter(np.ones(3)), T.parameter(np.ones(2))
+        opt = M.Adam([("p", p), ("q", q)], lr=0.01)
+        p.grad, q.grad = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.5])
+        opt.step()
+        before = [a.copy() for a in (p.data, q.data, *opt.m, *opt.v)]
+        p.grad = np.array([np.inf, 0.0, 0.0])
+        with pytest.raises(T.NumericError, match="^the gradient norm is not finite$"):
+            opt.step()
+        for want, got in zip(before, (p.data, q.data, *opt.m, *opt.v)):
+            np.testing.assert_array_equal(got, want)
+        assert opt.t == 1
+
     def test_train_step_updates_params(self):
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
         views = scene_views()
