@@ -43,31 +43,21 @@ class Linear:
         return [(prefix + ".w", self.w), (prefix + ".b", self.b)]
 
 
-def scaled_dot_attention(q, k_t, v):
-    """softmax(q k^T / sqrt(d_k)) v for one head, given the key transposed.
-
-    q: [n_q, d_k], k_t: [d_k, n_kv], v: [n_kv, d_v] -> [n_q, d_v].
-    """
-    if q.shape[1] != k_t.shape[0]:
-        raise T.DimensionError(f"query dim {q.shape[1]} != key dim {k_t.shape[0]}")
-    if k_t.shape[1] != v.shape[0]:
-        raise T.DimensionError(f"key count {k_t.shape[1]} != value count {v.shape[0]}")
-    logits = T.matmul(q, k_t, scale=1.0 / np.sqrt(q.shape[1]))
-    return T.matmul(T.softmax_rows(logits), v)
-
-
 class MultiHeadAttention:
-    """Fused Q/K/V projections (head h: column block h), per-head scaled-dot
-    attention, concat, output projection. The keys have no bias: it would add
-    one constant to each query's row of logits, which the softmax removes.
+    """Fused Q/K/V projections (head h: column block h), all heads in one
+    ``tensor.attention`` op, output projection. The keys have no bias: it
+    would add one constant to each query's row of logits, which the softmax
+    removes.
 
-    Without gradient recording, cross-attention keeps the per-head K/V of the
-    last ``x_kv`` object and reuses them while it is passed again. They are a
-    snapshot of the weights: after changing the weights, pass in a new ``x_kv``.
-    Recorded calls and self-attention project every time and keep nothing.
+    Without gradient recording, cross-attention keeps the one (K^T, V) pair
+    of the last ``x_kv`` object and reuses it while that object is passed
+    again. The pair is a snapshot of the weights: after changing the
+    weights, pass in a new ``x_kv``. Recorded calls and self-attention
+    project every time and keep nothing.
 
-    Without recording, the heads, and the K and V projections, run as
-    ``tensor._branches`` when large enough; recorded calls run them in turn.
+    Without recording, the K and V projections run as ``tensor._branches``
+    when large enough, and so do the heads inside ``tensor.attention``;
+    recorded calls run them in turn.
     """
 
     def __init__(self, cfg, rng):
@@ -79,19 +69,19 @@ class MultiHeadAttention:
         self._kv = (None, None)  # (last no-grad cross-attention x_kv, its project_kv)
 
     def project_kv(self, x_kv):
-        """Per head, (K^T [d_k, n_kv], V [n_kv, d_v]) of the key/value tokens."""
-        cfg = self.cfg
+        """(K^T [heads * d_k, n_kv], V [n_kv, heads * d_v]) of the key/value
+        tokens, the keys transposed as ``tensor.attention`` reads them."""
 
         def keys():
-            return T.split(T.transpose(T.matmul(x_kv, self.k_weight)), [cfg.d_k] * cfg.heads)
+            return T.transpose(T.matmul(x_kv, self.k_weight))
 
         def values():
-            return T.split(self.v_proj(x_kv), [cfg.d_v] * cfg.heads, axis=1)
+            return self.v_proj(x_kv)
 
         k_cost, v_cost = self.kv_cost(x_kv.shape[0])
         k_t, v = T._branches(lambda branch: branch(), [(keys,), (values,)],
                              min(k_cost.flops(), v_cost.flops()))
-        return list(zip(k_t, v))
+        return k_t, v
 
     def kv_cost(self, n_kv):
         """Layers of ``project_kv`` on ``n_kv`` tokens."""
@@ -99,15 +89,12 @@ class MultiHeadAttention:
 
     def __call__(self, x_q, x_kv):
         """Attend from ``x_q`` to ``x_kv``; self-attention when they are one tensor."""
-        q = T.split(self.q_proj(x_q), [self.cfg.d_k] * self.cfg.heads, axis=1)
+        q = self.q_proj(x_q)  # Q before K and V: the tape order of their gradients
         kept = not T._recording() and x_kv is not x_q
         if kept and self._kv[0] is not x_kv:
             self._kv = (x_kv, self.project_kv(x_kv))
-        kv = self._kv[1] if kept else self.project_kv(x_kv)
-        head = AttnProductCost(1, x_q.shape[0], x_kv.shape[0], self.cfg.d_k, self.cfg.d_v)
-        head_outs = T._branches(scaled_dot_attention,
-                                [(q_h, k_t, v) for q_h, (k_t, v) in zip(q, kv)], head.flops())
-        return self.out(T.concat(head_outs, axis=1))
+        k_t, v = self._kv[1] if kept else self.project_kv(x_kv)
+        return self.out(T.attention(q, k_t, v, self.cfg.heads))
 
     def cost(self, n_q, n_kv):
         """Layers of a call besides ``project_kv``: Q, the two products, output."""

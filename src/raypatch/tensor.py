@@ -14,13 +14,13 @@ Design:
     backward that reads it holds it. ``mul`` keeps each input's array only
     for the other input's gradient and ``linear``/``matmul`` likewise;
     ``leaky_relu`` keeps the boolean sign mask of its input; ``softmax_rows``
-    keeps its own output; ``layer_norm`` and ``instance_norm`` keep ``xhat`` and
-    ``inv``; ``conv2d`` keeps its phase maps (the zero-padded input split by
-    stride phase, about the input's size, for the weight gradient) and the
-    weight's columns of the input (for the input gradient); ``split``,
-    ``reshape``, ``take`` and the upsamplings keep shapes and indices only. ``matmul(a, b, scale=s)``
-    multiplies the fresh product by ``s`` in place, so a scaled product
-    (attention's logits) is one array, not two;
+    keeps its own output; ``attention`` keeps each head's probabilities and
+    its inputs, not its logits or output; ``layer_norm`` and
+    ``instance_norm`` keep ``xhat`` and ``inv``; ``conv2d`` keeps its phase
+    maps (the zero-padded input split by stride phase, about the input's
+    size, for the weight gradient) and the weight's columns of the input
+    (for the input gradient); ``split``, ``reshape``, ``take`` and the
+    upsamplings keep shapes and indices only;
   * one tape per training step: ``backward`` pops each record as it runs it,
     so a record's closure, the forward arrays only it holds and the output's
     gradient are freed as the sweep passes them; afterwards only leaves
@@ -35,10 +35,11 @@ Design:
     ``DimensionError`` instead of silently broadcasting.
 
 The op set is exactly what the patch-ray model needs: matrix product,
-row softmax, layer norm, instance norm (each channel of one [c, h, w] map
-normalized with its own statistics), 3x3 convolution (stride 1 or 2; w is
-[c_out, 3, 3, c_in], whose last input channels may read one constant vector
-at every pixel), 2x nearest and bilinear upsampling, and elementwise glue.
+row softmax, multi-head scaled-dot attention (all heads in one op), layer
+norm, instance norm (each channel of one [c, h, w] map normalized with its
+own statistics), 3x3 convolution (stride 1 or 2; w is [c_out, 3, 3, c_in],
+whose last input channels may read one constant vector at every pixel), 2x
+nearest and bilinear upsampling, and elementwise glue.
 
 Allocator: importing this module (so importing ``raypatch``) sets glibc's
 ``mallopt`` thresholds for the whole process: arrays up to 32 MiB come from
@@ -53,8 +54,8 @@ benchmark's peak RSS at 247-249 MiB against 260-262. Where there is no
 glibc ``mallopt`` nothing is set. No arithmetic depends on it.
 
 Branches: without gradient recording, ``_branches`` runs independent chains
-of ops (attention heads, K and V projections, encoder input views) on the
-caller's thread and on CPUs that BLAS leaves idle, when each chain has at
+of ops (``attention``'s heads, K and V projections, encoder input views) on
+the caller's thread and on CPUs that BLAS leaves idle, when each chain has at
 least ``BRANCH_FLOPS``. Each chain runs the ops it runs serially, so results
 are bit-identical; recorded calls run serially, so the tape order is the
 serial one.
@@ -496,10 +497,9 @@ def transpose(x):
 # dense ops
 # --------------------------------------------------------------------------
 
-def _product(name, x, w, b, scale=None):
-    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row, or times
-    ``scale``) as one tape op. The record keeps ``x`` only for ``w``'s
-    gradient and ``w`` only for ``x``'s."""
+def _product(name, x, w, b):
+    """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row) as one tape op.
+    The record keeps ``x`` only for ``w``'s gradient and ``w`` only for ``x``'s."""
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise DimensionError(f"{name} expects two rank-2 tensors")
     if x.shape[1] != w.shape[0]:
@@ -510,16 +510,12 @@ def _product(name, x, w, b, scale=None):
     flops.add_flops(2.0 * x.shape[0] * x.shape[1] * w.shape[1])
     if b is not None:
         y += b.data
-    if scale is not None:
-        y *= scale
     sx, sw, sb = x._slot, w._slot, _slot_of(b)
     out = Tensor(y, requires_grad=sx is not None or sw is not None or sb is not None)
     x_data = x.data if sw is not None else None
     w_data = w.data if sx is not None else None
 
     def bwd(g):
-        if scale is not None:
-            g = g * scale  # what a separate mul op's backward handed over
         if sb is not None:
             _accumulate(sb, g.sum(axis=0), owned=True)
         if sx is not None:
@@ -531,18 +527,23 @@ def _product(name, x, w, b, scale=None):
     return out
 
 
-def matmul(a, b, scale=None):
-    """[m, k] @ [k, n], times the number ``scale`` if one is given.
-
-    The scale is applied in place to the fresh product, so a scaled product
-    holds one array, not two; forward and gradients are bit-equal to
-    ``mul(matmul(a, b), scale)``."""
-    return _product("matmul", a, b, None, scale)
+def matmul(a, b):
+    """[m, k] @ [k, n]."""
+    return _product("matmul", a, b, None)
 
 
 def linear(x, w, b=None):
     """x[n, d_in] @ w[d_in, d_out] (+ b[d_out] on every row), one tape op."""
     return _product("linear", x, w, b)
+
+
+def _softmax_rows_grad(g, y):
+    """The logits' gradient, a fresh array, given the gradient ``g`` of the
+    row softmax ``y``: (g - rowsum(g * y)) * y."""
+    dot = (g * y).sum(axis=1, keepdims=True)
+    gx = g - dot
+    gx *= y
+    return gx
 
 
 def softmax_rows(x):
@@ -560,12 +561,86 @@ def softmax_rows(x):
     y /= y.sum(axis=1, keepdims=True)
     sx = x._slot
     out = Tensor(y, requires_grad=sx is not None)
+    _record(out, lambda g: _accumulate(sx, _softmax_rows_grad(g, y), owned=True))
+    return out
+
+
+def attention(q, k_t, v, heads):
+    """Multi-head scaled-dot attention as one tape op.
+
+    q [n_q, heads * d_k], k_t [heads * d_k, n_kv] (the keys transposed) and
+    v [n_kv, heads * d_v] -> [n_q, heads * d_v]. Head h reads column block h
+    of q and v and row block h of k_t, and writes column block h of the
+    output: softmax(q_h k_t[h] / sqrt(d_k)) v_h. Each head's logits pass
+    through ``softmax_rows``, looked up at call time, so a wrapper of it sees
+    one [n_q, n_kv] logit matrix per head. The heads run as ``_branches``.
+    The FLOPs are added once per call, 2 * heads * n_q * n_kv * (d_k + d_v),
+    what ``AttnProductCost`` prices.
+
+    Every block is read in place. The keys come transposed because
+    OpenBLAS's small-matrix kernels round a transposed operand differently
+    from an untransposed one: a row block of k_t is the operand that
+    ``matmul(q_h, k_t[h])`` and its gradient hand to BLAS, so the op is
+    bit-equal to the per-head composition (split, ``matmul``,
+    ``softmax_rows``, ``matmul``, ``concat``), and a caller that keeps the
+    keys keeps them transposed instead of transposing them per call.
+
+    The record keeps each head's probabilities, and of q, k_t and v what the
+    gradients read; it keeps neither the logits nor the output. Without
+    recording, a head's probabilities are freed inside that head and the
+    output is joined after the last head.
+    """
+    if q.data.ndim != 2 or k_t.data.ndim != 2 or v.data.ndim != 2:
+        raise DimensionError("attention expects rank-2 q, k_t and v")
+    if q.shape[1] != k_t.shape[0]:
+        raise DimensionError(f"attention query width {q.shape[1]} != key width {k_t.shape[0]}")
+    if k_t.shape[1] != v.shape[0]:
+        raise DimensionError(f"attention key count {k_t.shape[1]} != value count {v.shape[0]}")
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise DimensionError(
+            f"attention widths {q.shape[1]} and {v.shape[1]} do not split into {heads} heads")
+    (n_q, w_k), (n_kv, w_v) = q.shape, v.shape
+    d_k, d_v = w_k // heads, w_v // heads
+    scale = 1.0 / np.sqrt(d_k)
+    blocks = [(slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v))
+              for h in range(heads)]
+    sq, sk, sv = q._slot, k_t._slot, v._slot
+    recorded = _tape is not None and (sq is not None or sk is not None or sv is not None)
+
+    def head(bk, bv):
+        logits = q.data[:, bk] @ k_t.data[bk]
+        logits *= scale
+        p = softmax_rows(Tensor(logits)).data
+        del logits  # freed before the head's output is allocated
+        return p if recorded else None, p @ v.data[:, bv]
+
+    head_flops = 2.0 * n_q * n_kv * (d_k + d_v)
+    probs, outs = zip(*_branches(head, blocks, head_flops))
+    flops.add_flops(heads * head_flops)
+    out = Tensor(np.concatenate(outs, axis=1), requires_grad=recorded)
+    del outs
+    q_data = q.data if sk is not None else None
+    kt_data = k_t.data if sq is not None else None
+    v_data = v.data if sq is not None or sk is not None else None
 
     def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        gx = g - dot
-        gx *= y
-        _accumulate(sx, gx, owned=True)
+        gq = np.empty((n_q, w_k)) if sq is not None else None
+        gk = np.empty((w_k, n_kv)) if sk is not None else None
+        gv = np.empty((n_kv, w_v)) if sv is not None else None
+        for (bk, bv), p in zip(blocks, probs):
+            if sv is not None:
+                gv[:, bv] = p.T @ g[:, bv]
+            if v_data is None:
+                continue
+            dl = _softmax_rows_grad(g[:, bv] @ v_data[:, bv].T, p)
+            dl *= scale
+            if sq is not None:
+                gq[:, bk] = dl @ kt_data[bk].T
+            if sk is not None:
+                gk[bk] = q_data[:, bk].T @ dl
+        _accumulate(sq, gq, owned=True)
+        _accumulate(sk, gk, owned=True)
+        _accumulate(sv, gv, owned=True)
 
     _record(out, bwd)
     return out

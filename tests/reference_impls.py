@@ -159,6 +159,16 @@ def attention_single_head_naive(q, k, v):
     return matmul_loops(softmax_rows_naive(logits), v)
 
 
+def attention_heads_naive(q, k, v, heads):
+    """Head h on column block h of q, k and v by ``attention_single_head_naive``,
+    the heads' outputs side by side."""
+    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
+    ck = [slice(h * d_k, (h + 1) * d_k) for h in range(heads)]
+    cv = [slice(h * d_v, (h + 1) * d_v) for h in range(heads)]
+    return np.concatenate([attention_single_head_naive(q[:, a], k[:, a], v[:, b])
+                           for a, b in zip(ck, cv)], axis=1)
+
+
 def fourier_encode_naive(v, n_freq):
     """Per component: [sin(2^0 pi v), cos(2^0 pi v), ..., sin(2^{F-1} pi v), cos(...)]."""
     out = []

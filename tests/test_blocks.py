@@ -25,42 +25,6 @@ def attn_cfg(d_model, heads, d_k, d_v):
 CFG = attn_cfg(d_model=16, heads=2, d_k=8, d_v=8)
 
 
-class TestScaledDotAttention:
-    def test_against_naive(self, rng):
-        q = rng.standard_normal((5, 4))
-        k = rng.standard_normal((7, 4))
-        v = rng.standard_normal((7, 3))
-        got = B.scaled_dot_attention(Tensor(q), Tensor(k.T), Tensor(v)).data
-        np.testing.assert_allclose(got, attention_single_head_naive(q, k, v), atol=1e-12)
-
-    def test_equal_logits_average_values(self, rng):
-        # zero queries: every key scores equally, output = mean of values
-        v = rng.standard_normal((6, 3))
-        got = B.scaled_dot_attention(Tensor(np.zeros((2, 4))),
-                                     Tensor(rng.standard_normal((4, 6)) * 0),
-                                     Tensor(v)).data
-        np.testing.assert_allclose(got, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
-
-    def test_kv_joint_permutation_invariant(self, rng):
-        q = Tensor(rng.standard_normal((4, 8)))
-        k = rng.standard_normal((9, 8))
-        v = rng.standard_normal((9, 5))
-        perm = rng.permutation(9)
-        a = B.scaled_dot_attention(q, Tensor(k.T), Tensor(v)).data
-        b = B.scaled_dot_attention(q, Tensor(k[perm].T), Tensor(v[perm])).data
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(T.DimensionError, match="key dim"):
-            B.scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 4))),
-                                   Tensor(np.zeros((4, 2))))
-
-    def test_count_mismatch(self):
-        with pytest.raises(T.DimensionError, match="value count"):
-            B.scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))),
-                                   Tensor(np.zeros((5, 2))))
-
-
 class TestMultiHeadAttention:
     def test_single_head_identity_projections_reduce(self, rng):
         # with identity Q/K/V/out projections and zero bias, MHA collapses to
@@ -75,7 +39,7 @@ class TestMultiHeadAttention:
         xq = Tensor(rng.standard_normal((4, 6)))
         xkv = Tensor(rng.standard_normal((9, 6)))
         got = mha(xq, xkv).data
-        want = B.scaled_dot_attention(xq, Tensor(xkv.data.T), xkv).data
+        want = attention_single_head_naive(xq.data, xkv.data, xkv.data)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_output_shape(self, rng):
@@ -170,6 +134,15 @@ class TestKeptKV:
         np.testing.assert_array_equal(out.data, first.data)
         assert mha.k_weight.grad is not None
         assert mha.v_proj.w.grad is not None and mha.v_proj.b.grad is not None
+
+    def test_the_memo_is_one_kv_pair(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
+        with T.no_grad():
+            mha(xq, xkv)
+        kept, (k_t, v) = mha._kv
+        assert kept is xkv
+        assert k_t.shape == (CFG.heads * CFG.d_k, 6) and v.shape == (6, CFG.heads * CFG.d_v)
 
     def test_self_attention_projects_on_every_call(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)

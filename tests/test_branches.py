@@ -22,6 +22,7 @@ from raypatch import datasynth as ds
 from raypatch import flops
 from raypatch import model as M
 from raypatch import tensor as T
+from raypatch.costmodel import AttnProductCost
 
 RENDER = dict(height=128, width=128, k=8, d_model=256, heads=4, d_k=64, d_v=64,
               downsamplings=3)
@@ -153,6 +154,66 @@ def test_add_flops_loses_no_update_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert (fc.total, fc.by_stage) == (4 * n, {"s": 4 * n})
+
+
+class TestAttention:
+    """``tensor.attention`` runs its heads as branches."""
+
+    HEADS, N_Q, N_KV, D_K, D_V = 8, 64, 96, 8, 6
+
+    def qkv(self):
+        rng = np.random.default_rng(4)
+        return [T.parameter(rng.standard_normal(shape)) for shape in (
+            (self.N_Q, self.HEADS * self.D_K), (self.HEADS * self.D_K, self.N_KV),
+            (self.N_KV, self.HEADS * self.D_V))]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_flops_are_the_attn_product_cost(self, branched, monkeypatch, record):
+        q, k_t, v = self.qkv()
+        want = AttnProductCost(self.HEADS, self.N_Q, self.N_KV, self.D_K, self.D_V).flops()
+
+        def run():
+            T.tape_clear()
+            with flops.FlopCounter() as fc:
+                if record:
+                    out = T.attention(q, k_t, v, self.HEADS)
+                else:
+                    with T.no_grad():
+                        out = T.attention(q, k_t, v, self.HEADS)
+            T.tape_clear()
+            return fc.total, out.data
+
+        monkeypatch.setattr(T, "_SPARE", 0)
+        serial, serial_out = run()
+        assert branched.submitted == 0
+        monkeypatch.setattr(T, "_SPARE", 1)
+        parallel, parallel_out = run()
+        assert branched.submitted == (0 if record else 1)  # recorded calls run in turn
+        assert serial == parallel == want
+        np.testing.assert_array_equal(parallel_out, serial_out)
+
+    def test_a_no_grad_call_keeps_no_heads_probabilities(self, branched):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        q, k_t, v = self.qkv()
+        with T.no_grad():
+            T.attention(q, k_t, v, self.HEADS)  # the worker thread starts before tracing
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = T.attention(q, k_t, v, self.HEADS)
+                held, peak = (m - before for m in tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+        assert branched.submitted == 2
+        # afterwards only the output; one head's probabilities are 48 KiB
+        assert out.data.nbytes <= held <= out.data.nbytes + 4096, held
+        # during the call: the heads' outputs and their join, and on each of
+        # the two lanes one head's logits under softmax_rows, which allocates
+        # the probabilities and a broadcast buffer of numpy's (8192 elements
+        # at most, here logit-sized). Eight heads' probabilities kept to the
+        # end of the call would pass it.
+        logits = self.N_Q * self.N_KV * 8
+        assert peak <= 2 * out.data.nbytes + 2 * 3 * logits + 4096, peak
 
 
 @pytest.mark.parametrize("kind", ["raypatch", "pixel"])

@@ -38,20 +38,28 @@ def _op_cases(rng):
     probe_in = T.Tensor(rng.standard_normal((2, 4, 4)))
     # rows added later draw from a child generator, so every other row keeps
     # the inputs that rng's stream gives it
-    late, later = rng.spawn(2)
-    probe_mm = T.Tensor(late.standard_normal((5, 4)))
+    late, later, latest = rng.spawn(3)
+    probe_attn = T.Tensor(late.standard_normal((5, 4)))
     # conv2d's uniform channels: the weight's last 3 read conv_o at every pixel
     conv_o = later.standard_normal(3)
     conv_wu = T.Tensor(later.standard_normal((3, 3, 3, 5)) * 0.3)
     conv_xu = T.Tensor(later.standard_normal((2, 5, 7)))
     probe_s2 = T.Tensor(later.standard_normal((3, 3, 4)))
     probe_s1 = T.Tensor(later.standard_normal((3, 4, 6)))
+    # attention with 2 heads, d_k = 3 and d_v = 2, on 5 queries and 7 keys
+    attn_q = T.Tensor(latest.standard_normal((5, 6)))
+    attn_k_t = T.Tensor(latest.standard_normal((6, 7)))
+    attn_v = T.Tensor(latest.standard_normal((7, 4)))
 
     return [
         ("matmul", lambda x: sum_all(T.matmul(x, w)),
          T.Tensor(rng.standard_normal((5, 6)))),
-        ("matmul_scaled", lambda x: sum_all(T.mul(T.matmul(x, w, scale=0.4), probe_mm)),
+        ("attention_q", lambda x: sum_all(T.mul(T.attention(x, attn_k_t, attn_v, 2), probe_attn)),
          T.Tensor(late.standard_normal((5, 6)))),
+        ("attention_k", lambda x: sum_all(T.mul(T.attention(attn_q, x, attn_v, 2), probe_attn)),
+         T.Tensor(latest.standard_normal((6, 7)))),
+        ("attention_v", lambda x: sum_all(T.mul(T.attention(attn_q, attn_k_t, x, 2), probe_attn)),
+         T.Tensor(latest.standard_normal((7, 4)))),
         ("linear", lambda x: sum_all(T.linear(x, w, bias)),
          T.Tensor(rng.standard_normal((3, 6)))),
         ("softmax", lambda x: sum_all(T.mul(T.softmax_rows(x), probe_sm)),

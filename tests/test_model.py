@@ -482,6 +482,24 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak < 42 * 2**20, f"{peak / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("kind,most", [("raypatch", 149), ("pixel", 123)])
+    def test_train_step_forward_records_at_most(self, kind, most):
+        # the forward of a step at 32x32 with the CLI's default model: encode
+        # the input view, decode and score both targets, sum the losses. An
+        # attention call is two records, the keys' transpose and the op,
+        # whatever its head count; splitting the heads into separate ops
+        # would add 6 * heads per call.
+        m = M.LightFieldModel(M.ModelConfig(height=32, width=32), kind)
+        inputs, targets = M.scene_to_views(scene_views(32, 32))
+        assert len(targets) == 2
+        T.tape_clear()
+        z = m.encode(inputs)
+        T.add(*(M.loss_total(m.decode(z, v.intrinsics, v.pose), v.image, v.depth)[0]
+                for v in targets))
+        records = len(T._tape)
+        T.tape_clear()
+        assert records <= most
+
 
 def _has_mallopt():
     try:

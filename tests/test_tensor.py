@@ -11,6 +11,7 @@ from raypatch import tensor as T
 from raypatch.tensor import Tensor
 
 from reference_impls import (
+    attention_heads_naive,
     conv2d_grads_loops,
     conv2d_loops,
     grad_check,
@@ -83,17 +84,6 @@ class TestMatmul:
         assert grad_check(lambda t: sum_all(T.matmul(t, b)), a) < 1e-5
         assert grad_check(lambda t: sum_all(T.matmul(a, t)), b) < 1e-5
 
-    def test_scale_is_bit_equal_to_a_separate_mul(self, rng):
-        a, b = rng.standard_normal((9, 4)), rng.standard_normal((4, 13))
-        g = rng.standard_normal((9, 13))
-        scale = 1.0 / np.sqrt(4)
-        got, got_grads = weighted_sum_grads(lambda s, t: T.matmul(s, t, scale=scale), [a, b], g)
-        want, want_grads = weighted_sum_grads(lambda s, t: T.mul(T.matmul(s, t), scale),
-                                              [a, b], g)
-        assert_same_bits(got, want)
-        for got_g, want_g in zip(got_grads, want_grads):
-            assert_same_bits(got_g, want_g)
-
 
 class TestSoftmax:
     def test_against_naive(self, rng):
@@ -131,6 +121,81 @@ class TestSoftmax:
         want_y = e / e.sum(axis=1, keepdims=True)
         assert_same_bits(y, want_y)
         assert_same_bits(gx, (g - (g * want_y).sum(axis=1, keepdims=True)) * want_y)
+
+
+def per_head_attention(q, k_t, v, heads):
+    """``attention`` composed of separate ops: q, k_t and v split into heads,
+    then per head the product scaled by a ``mul``, ``softmax_rows`` and the
+    product with v_h, and the heads concatenated."""
+    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
+    qs = T.split(q, [d_k] * heads, axis=1)
+    k_ts = T.split(k_t, [d_k] * heads)
+    vs = T.split(v, [d_v] * heads, axis=1)
+    return T.concat([T.matmul(T.softmax_rows(T.mul(T.matmul(q_h, k_t), 1.0 / np.sqrt(d_k))), v_h)
+                     for q_h, k_t, v_h in zip(qs, k_ts, vs)], axis=1)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_against_naive(self, rng, heads):
+        q = rng.standard_normal((5, 4 * heads))
+        k = rng.standard_normal((7, 4 * heads))
+        v = rng.standard_normal((7, 3 * heads))
+        got = T.attention(Tensor(q), Tensor(k.T), Tensor(v), heads).data
+        np.testing.assert_allclose(got, attention_heads_naive(q, k, v, heads), atol=1e-12)
+
+    def test_equal_logits_average_values(self, rng):
+        # zero queries: every key scores equally, so each head's output is the
+        # mean of its values
+        v = rng.standard_normal((6, 6))
+        got = T.attention(Tensor(np.zeros((2, 8))), Tensor(rng.standard_normal((8, 6))),
+                          Tensor(v), 2).data
+        np.testing.assert_allclose(got, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
+
+    def test_kv_joint_permutation_invariant(self, rng):
+        q = Tensor(rng.standard_normal((4, 8)))
+        k = rng.standard_normal((9, 8))
+        v = rng.standard_normal((9, 10))
+        perm = rng.permutation(9)
+        a = T.attention(q, Tensor(k.T), Tensor(v), 2).data
+        b = T.attention(q, Tensor(k[perm].T), Tensor(v[perm]), 2).data
+        np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("k_t_shape,v_shape,heads,match", [
+        ((4, 5), (5, 4), 2, r"query width 6 != key width 4"),
+        ((6, 5), (4, 4), 2, r"key count 5 != value count 4"),
+        ((6, 5), (5, 4), 4, r"widths 6 and 4 do not split into 4 heads"),
+        ((6, 5), (5, 5), 2, r"widths 6 and 5 do not split into 2 heads"),
+        ((6, 5), (5, 4), 0, r"do not split into 0 heads"),
+        ((6, 5), (5, 4, 1), 2, r"rank-2 q, k_t and v")])
+    def test_dimension_errors(self, k_t_shape, v_shape, heads, match):
+        with pytest.raises(T.DimensionError, match=match):
+            T.attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros(k_t_shape)),
+                        Tensor(np.zeros(v_shape)), heads)
+
+    # the decoders of a 16x16 dataset's raypatch model and of the benchmark's
+    # render config (16x16 patch queries on 3 views), and two other sizes
+    @pytest.mark.parametrize("n_q,n_kv,heads,d_k,d_v", [
+        (16, 16, 2, 32, 32), (37, 53, 4, 16, 8), (64, 192, 2, 32, 32), (256, 768, 4, 64, 64)])
+    def test_bit_equal_to_the_per_head_composition(self, rng, n_q, n_kv, heads, d_k, d_v):
+        arrays = [rng.standard_normal((n_q, heads * d_k)),
+                  rng.standard_normal((heads * d_k, n_kv)),
+                  rng.standard_normal((n_kv, heads * d_v))]
+        g = rng.standard_normal((n_q, heads * d_v))
+        got, got_grads = weighted_sum_grads(lambda q, k_t, v: T.attention(q, k_t, v, heads),
+                                            arrays, g)
+        want, want_grads = weighted_sum_grads(
+            lambda q, k_t, v: per_head_attention(q, k_t, v, heads), arrays, g)
+        assert_same_bits(got, want)
+        for got_g, want_g in zip(got_grads, want_grads):
+            assert_same_bits(got_g, want_g)
+
+    def test_one_tape_record(self, rng):
+        q, k_t, v = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5, 6)
+        T.tape_clear()
+        out = T.attention(q, k_t, v, 2)
+        assert [slot for slot, _ in T._tape] == [out._slot]
+        T.tape_clear()
 
 
 class TestLayerNorm:
@@ -363,14 +428,12 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         assert wt.grad is not None
 
     def test_attention_keeps_two_logit_sized_arrays(self, rng):
-        from raypatch.blocks import scaled_dot_attention
-
         n_q, n_kv, d = 256, 256, 4
         q, k_t, v = leaf(rng, n_q, d), leaf(rng, d, n_kv), leaf(rng, n_kv, d)
-        held = self.held_bytes(lambda: scaled_dot_attention(q, k_t, v))
+        held = self.held_bytes(lambda: T.attention(q, k_t, v, 1))
         logits = n_q * n_kv * 8
-        # the scaled logits (softmax's input) and the probabilities; the
-        # unscaled product of a separate scale op would be a third
+        # the record keeps the probabilities, one logit-sized array, not the
+        # logits; with the output that leaves room for one more, no more
         assert held <= 2 * logits + n_q * d * 8 + 4096, held
         T.tape_clear()
 
@@ -395,8 +458,9 @@ _LIVENESS = {
     "reshape": (lambda x: T.reshape(x, (4, 3)), [((3, 4), True)], (False,), False),
     "transpose": (T.transpose, [((3, 4), True)], (False,), False),
     "matmul": (T.matmul, [((3, 4), True), ((4, 2), True)], (True, True), False),
-    "matmul_scaled": (lambda a, b: T.matmul(a, b, scale=0.5),
-                      [((3, 4), True), ((4, 2), True)], (True, True), False),
+    # the record also keeps each head's probabilities
+    "attention": (lambda q, k_t, v: T.attention(q, k_t, v, 2),
+                  [((3, 4), True), ((4, 5), True), ((5, 6), True)], (True, True, True), False),
     "linear": (T.linear, [((3, 4), True), ((4, 2), True), ((2,), True)],
                (True, True, False), False),
     "linear_of_constant": (T.linear, [((3, 4), False), ((4, 2), True), ((2,), True)],
@@ -474,10 +538,10 @@ def test_public_functions_are_pinned():
               if not name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == T.__name__}
     assert public == {
-        "absolute", "add", "backward", "concat", "conv2d", "global_grad_norm", "instance_norm",
-        "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul", "parameter",
-        "reshape", "softmax_rows", "split", "sub", "take", "tape_clear", "transpose",
-        "upsample_bilinear2x", "upsample_nearest2x"}
+        "absolute", "add", "attention", "backward", "concat", "conv2d", "global_grad_norm",
+        "instance_norm", "layer_norm", "leaky_relu", "linear", "matmul", "mean_all", "mul",
+        "parameter", "reshape", "softmax_rows", "split", "sub", "take", "tape_clear",
+        "transpose", "upsample_bilinear2x", "upsample_nearest2x"}
 
 
 class TestLeakyRelu:
