@@ -49,11 +49,10 @@ class MultiHeadAttention:
     would add one constant to each query's row of logits, which the softmax
     removes.
 
-    Without gradient recording, cross-attention keeps the one (K^T, V) pair
-    of the last ``x_kv`` object and reuses it while that object is passed
-    again. The pair is a snapshot of the weights: after changing the
-    weights, pass in a new ``x_kv``. Recorded calls and self-attention
-    project every time and keep nothing.
+    A call projects the K/V of ``x_kv`` unless the caller passes them as
+    ``kv``, the ``project_kv`` pair of ``x_kv``: a decoder block reads the
+    pair its scene holds (``model.Scene``). A call keeps nothing for the
+    next.
 
     Without recording, the K and V projections run as ``tensor._branches``
     when large enough, and so do the heads inside ``tensor.attention``;
@@ -66,7 +65,6 @@ class MultiHeadAttention:
         self.k_weight = _weight(rng, cfg.d_model, cfg.heads * cfg.d_k, cfg.heads)
         self.v_proj = Linear(rng, cfg.d_model, cfg.heads * cfg.d_v, cfg.heads)
         self.out = Linear(rng, cfg.heads * cfg.d_v, cfg.d_model)
-        self._kv = (None, None)  # (last no-grad cross-attention x_kv, its project_kv)
 
     def project_kv(self, x_kv):
         """(K^T [heads * d_k, n_kv], V [n_kv, heads * d_v]) of the key/value
@@ -87,13 +85,10 @@ class MultiHeadAttention:
         """Layers of ``project_kv`` on ``n_kv`` tokens."""
         return [LinearCost(n_kv, *self.k_weight.shape)] + self.v_proj.cost(n_kv)
 
-    def __call__(self, x_q, x_kv):
-        """Attend from ``x_q`` to ``x_kv``; self-attention when they are one tensor."""
+    def __call__(self, x_q, x_kv, kv=None):
+        """Attend from ``x_q`` to ``x_kv``, whose K/V are ``kv`` if given."""
         q = self.q_proj(x_q)  # Q before K and V: the tape order of their gradients
-        kept = not T._recording() and x_kv is not x_q
-        if kept and self._kv[0] is not x_kv:
-            self._kv = (x_kv, self.project_kv(x_kv))
-        k_t, v = self._kv[1] if kept else self.project_kv(x_kv)
+        k_t, v = self.project_kv(x_kv) if kv is None else kv
         return self.out(T.attention(q, k_t, v, self.cfg.heads))
 
     def cost(self, n_q, n_kv):
@@ -145,10 +140,11 @@ class AttnBlock:
         self.ff = FeedForward(rng, cfg.d_model)
         self.ln2 = LayerNormParams(cfg.d_model)
 
-    def __call__(self, x_q, x_kv=None):
-        """Self-attention when x_kv is None, cross-attention otherwise."""
+    def __call__(self, x_q, x_kv=None, kv=None):
+        """Self-attention when x_kv is None, cross-attention otherwise (``kv``:
+        the K/V of ``x_kv``, as ``MultiHeadAttention`` takes them)."""
         x_kv = x_q if x_kv is None else x_kv
-        y = self.ln1(T.add(x_q, self.mha(x_q, x_kv)))
+        y = self.ln1(T.add(x_q, self.mha(x_q, x_kv, kv)))
         return self.ln2(T.add(y, self.ff(y)))
 
     def cost(self, n_q, n_kv):

@@ -20,9 +20,9 @@ the list mirrors the executed ops one for one. ``stage_flops`` sums those
 lists into the ``flops.stage`` names the forward code runs under, so the
 instrumented FLOP counter and the layer specs can be compared stage by stage.
 
-Without gradient recording, each decoder block's attention keeps the keys
-and values of the last token tensor it was given and reuses them for every
-further view decoded from that tensor: encode once, render many.
+``encode`` returns a ``Scene``: the token set plus each decoder block's keys
+and values, projected once. Every view decoded from the scene reads them:
+encode once, render many.
 """
 
 from __future__ import annotations
@@ -246,6 +246,21 @@ class Encoder:
         return layers
 
 
+class Scene(T.Tensor):
+    """Encoder tokens [n, d_model] plus ``kv``, each decoder block's
+    (K^T, V) of them from ``MultiHeadAttention.project_kv``.
+
+    A scene is the token tensor: it shares the tokens' data and grad slot,
+    so recorded decodes reach the encoder through it. The tokens and K/V
+    are a snapshot of the weights at encode, recorded if the encode was.
+    """
+
+    __slots__ = ("kv",)
+
+    def __init__(self, tokens, kv):
+        self.data, self._slot, self.kv = tokens.data, tokens._slot, kv
+
+
 class _QueryDecoder:
     """The decoders' shared front: one ray query per k x k patch, its embedding and
     the attention blocks. A subclass adds a head and prices it in ``_head_cost``."""
@@ -255,7 +270,12 @@ class _QueryDecoder:
         self.embed = Linear(rng, cfg.query_channels, cfg.d_model)
         self.blocks = [AttnBlock(cfg, rng) for _ in range(cfg.dec_blocks)]
 
-    def _attend(self, z, intrinsics, pose, head):
+    def scene(self, tokens):
+        """The ``Scene`` of ``tokens``: each block's K/V, in stage decoder_attn."""
+        with flops.stage("decoder_attn"):
+            return Scene(tokens, [blk.mha.project_kv(tokens) for blk in self.blocks])
+
+    def _attend(self, scene, intrinsics, pose, head):
         """The queries through embed, blocks and ``head``, in stage decoder_attn."""
         cfg = self.cfg
         q = build_queries(intrinsics, pose, cfg.height, cfg.width, self.k,
@@ -263,8 +283,8 @@ class _QueryDecoder:
         flops.count_queries("decoder", q.shape[0])
         with flops.stage("decoder_attn"):
             x = self.embed(q)
-            for blk in self.blocks:
-                x = blk(x, z)
+            for blk, kv in zip(self.blocks, scene.kv):
+                x = blk(x, scene, kv)
             return head(x)
 
     def params(self):
@@ -274,7 +294,7 @@ class _QueryDecoder:
         return out
 
     def layer_spec(self, n_kv, n_views=1):
-        """Layers of ``n_views`` decodes of one token set (K/V projected once)."""
+        """Layers of a scene of ``n_kv`` tokens and ``n_views`` decodes of it."""
         cfg = self.cfg
         n_q = (cfg.height // self.k) * (cfg.width // self.k)
         view = self.embed.cost(n_q)
@@ -305,9 +325,9 @@ class RayPatchDecoder(_QueryDecoder):
             ch //= 2
         self.final = Conv3x3(rng, ch, OUT_CHANNELS)
 
-    def __call__(self, z, intrinsics, pose):
+    def __call__(self, scene, intrinsics, pose):
         cfg = self.cfg
-        feats = self._attend(z, intrinsics, pose, self.feature_head)
+        feats = self._attend(scene, intrinsics, pose, self.feature_head)
         with flops.stage("decoder_cnn"):
             fmap = T.reshape(T.transpose(feats),
                              (cfg.feature_channels, cfg.height // cfg.k, cfg.width // cfg.k))
@@ -351,9 +371,9 @@ class PixelDecoder(_QueryDecoder):
         self.head1 = Linear(rng, cfg.d_model, 2 * cfg.d_model)
         self.head2 = Linear(rng, 2 * cfg.d_model, OUT_CHANNELS)
 
-    def __call__(self, z, intrinsics, pose):
+    def __call__(self, scene, intrinsics, pose):
         cfg = self.cfg
-        out = self._attend(z, intrinsics, pose,
+        out = self._attend(scene, intrinsics, pose,
                            lambda x: self.head2(T.leaky_relu(self.head1(x))))
         return T.reshape(T.transpose(out), (OUT_CHANNELS, cfg.height, cfg.width))
 
@@ -383,20 +403,17 @@ class LightFieldModel:
             raise AssertionError("duplicate parameter names")
 
     def encode(self, views):
-        """Token set [n, d_model] of the input views.
+        """The ``Scene`` of the input views: tokens [n, d_model] and each
+        decoder block's K/V of them.
 
-        The tokens are a snapshot of the current weights: after changing the
-        weights, encode again rather than decode tokens encoded before.
+        The scene is a snapshot of the current weights: after changing the
+        weights, encode again to decode with them.
         """
-        return self.encoder(views)
+        return self.decoder.scene(self.encoder(views))
 
-    def decode(self, z, intrinsics, pose):
-        """Output [OUT_CHANNELS, h, w] of one target view from tokens ``z``.
-
-        ``z`` must come from an encode under the current weights: without
-        gradient recording, the decoder blocks keep the K/V of the last ``z``.
-        """
-        return self.decoder(z, intrinsics, pose)
+    def decode(self, scene, intrinsics, pose):
+        """Output [OUT_CHANNELS, h, w] of one target view of ``scene``, an ``encode`` result."""
+        return self.decoder(scene, intrinsics, pose)
 
     def named_parameters(self):
         return self.encoder.params() + self.decoder.params()
@@ -541,9 +558,7 @@ def train_step(model, views, opt):
         total = l if total is None else T.add(total, l)
         metrics["rgb"] += parts["rgb"] / len(targets)
         metrics["depth"] += parts["depth"] / len(targets)
-        with T.no_grad():
-            rgb, _ = split_output(out)
-        metrics["psnr"] += psnr(rgb.data, v.image) / len(targets)
+        metrics["psnr"] += psnr(out.data[:3], v.image) / len(targets)
     total = T.mul(total, 1.0 / len(targets))
     if not np.isfinite(total.data):
         raise T.NumericError("the loss is not finite")
@@ -563,7 +578,6 @@ def evaluate(model, scenes):
             for v in targets:
                 out = model.decode(z, v.intrinsics, v.pose)
                 l, _ = loss_total(out, v.image, v.depth)
-                rgb, _ = split_output(out)
                 agg["loss"] += l.item() / len(targets) / len(scenes)
-                agg["psnr"] += psnr(rgb.data, v.image) / len(targets) / len(scenes)
+                agg["psnr"] += psnr(out.data[:3], v.image) / len(targets) / len(scenes)
     return agg

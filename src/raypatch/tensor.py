@@ -202,10 +202,6 @@ class no_grad:
         return False
 
 
-def _recording():
-    return _tape is not None
-
-
 def _record(out, backward_fn):
     """Append ``out``'s record; only outputs made while recording carry a slot."""
     if out._slot is not None:

@@ -91,58 +91,66 @@ class TestMultiHeadAttention:
             mha.out.w.data, B.uniform_init(stream, cfg.heads * cfg.d_v, (cfg.heads * cfg.d_v, 6)))
 
 
-class TestKeptKV:
-    """Without recording, cross-attention reuses the K/V of the last ``x_kv`` object."""
+class TestNoState:
+    """Attention keeps no state: a call projects the K/V of ``x_kv`` unless it
+    is given them as ``kv``."""
 
     # the K and V projections of 6 tokens: 2 FLOPs per multiply-accumulate
     KV_FLOPS = 2.0 * 6 * CFG.d_model * CFG.heads * (CFG.d_k + CFG.d_v)
 
     @staticmethod
-    def _counted(mha, x_q, x_kv):
+    def _counted(mha, x_q, x_kv, kv=None):
         with flops.FlopCounter() as fc:
-            out = mha(x_q, x_kv)
+            out = mha(x_q, x_kv, kv)
         return out, fc.total
 
-    def test_same_x_kv_reuses_the_projection(self, rng):
+    def test_same_x_kv_projects_on_every_call(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)
         xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
         with T.no_grad():
             first, full = self._counted(mha, xq, xkv)
-            again, reused = self._counted(mha, xq, xkv)
-        np.testing.assert_array_equal(again.data, first.data)
-        assert full - reused == self.KV_FLOPS
+            mha.k_weight.data += 1.0  # the next call must see the new weights
+            again, again_flops = self._counted(mha, xq, xkv)
+        assert again_flops == full
+        assert not np.array_equal(again.data, first.data)
 
-    def test_new_x_kv_object_with_equal_values_projects_again(self, rng):
-        mha = B.MultiHeadAttention(CFG, rng)
-        xq, kv = Tensor(rng.standard_normal((3, 16))), rng.standard_normal((6, 16))
-        with T.no_grad():
-            first, full = self._counted(mha, xq, Tensor(kv))
-            mha.k_weight.data += 1.0  # a new x_kv must see new weights
-            other, again = self._counted(mha, xq, Tensor(kv.copy()))
-        assert again == full
-        assert not np.array_equal(other.data, first.data)
-
-    def test_recorded_call_after_no_grad_call_projects_again(self, rng):
+    def test_given_kv_adds_no_kv_flops(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)
         xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
         with T.no_grad():
-            first, full = self._counted(mha, xq, xkv)
+            projected, full = self._counted(mha, xq, xkv)
+            kv = mha.project_kv(xkv)
+            given, fewer = self._counted(mha, xq, xkv, kv)
+        np.testing.assert_array_equal(given.data, projected.data)
+        assert full - fewer == self.KV_FLOPS
+        k_t, v = kv
+        assert k_t.shape == (CFG.heads * CFG.d_k, 6) and v.shape == (6, CFG.heads * CFG.d_v)
+
+    def test_recorded_given_kv_passes_gradients_to_the_kv_weights(self, rng):
+        mha = B.MultiHeadAttention(CFG, rng)
+        xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
+        with T.no_grad():
+            want = mha(xq, xkv).data
         T.tape_clear()
-        out, recorded = self._counted(mha, xq, xkv)
+        out = mha(xq, xkv, mha.project_kv(xkv))
         T.backward(sum_all(out))
-        assert recorded == full
-        np.testing.assert_array_equal(out.data, first.data)
+        np.testing.assert_array_equal(out.data, want)
         assert mha.k_weight.grad is not None
         assert mha.v_proj.w.grad is not None and mha.v_proj.b.grad is not None
 
-    def test_the_memo_is_one_kv_pair(self, rng):
+    def test_keeps_no_per_call_attribute(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)
+        built = dict(vars(mha))
+        assert set(built) == {"cfg", "q_proj", "k_weight", "v_proj", "out"}
         xq, xkv = Tensor(rng.standard_normal((3, 16))), Tensor(rng.standard_normal((6, 16)))
         with T.no_grad():
             mha(xq, xkv)
-        kept, (k_t, v) = mha._kv
-        assert kept is xkv
-        assert k_t.shape == (CFG.heads * CFG.d_k, 6) and v.shape == (6, CFG.heads * CFG.d_v)
+            mha(xq, xkv, mha.project_kv(xkv))
+        T.tape_clear()
+        mha(xq, xkv)
+        T.tape_clear()
+        assert vars(mha).keys() == built.keys()
+        assert all(vars(mha)[name] is value for name, value in built.items())
 
     def test_self_attention_projects_on_every_call(self, rng):
         mha = B.MultiHeadAttention(CFG, rng)

@@ -269,7 +269,7 @@ class TestBranchedModel:
             warnings.simplefilter("error")
             # 64 copies of the tokens: K and V each take long enough for the
             # worker to take one of them
-            huge = T.Tensor(np.tile(z.data, (64, 1)) * 1e308)
+            huge = m.decoder.scene(T.Tensor(np.tile(z.data, (64, 1)) * 1e308))
             with pytest.raises(T.NumericError, match="softmax_rows: non-finite input"):
                 m.decode(huge, *ring(16, 1)[0])
         assert branched.submitted > 0

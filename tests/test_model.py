@@ -111,7 +111,8 @@ class TestForward:
                               ("pixel", 1, "no_grad_views")]])
     def test_instrumented_flops_match_layer_spec(self, kind, k, mode):
         """One encode and one decode; a whole train step (one encode, two recorded
-        decodes); or one encode and 1-3 no-grad decodes sharing one K/V projection."""
+        decodes); or one encode and 1-3 no-grad decodes. Every encode projects
+        its scene's K/V once, recorded or not."""
         cfg = tiny_cfg(height=16, width=16, k=k, feature_channels=16)
         m = M.LightFieldModel(cfg, kind)
         views = scene_views(16, 16)
@@ -134,9 +135,9 @@ class TestForward:
             else:
                 z = m.encode(inputs)
                 m.decode(z, targets[0].intrinsics, targets[0].pose)
-        decodes = 2 if mode == "train_step" else 1  # a train step decodes both targets
+        n_views = 2 if mode == "train_step" else 1  # a train step decodes both targets
         analytic = full_model_flops(m.encoder.layer_spec(1) +
-                                    decodes * m.decoder.layer_spec(n_kv))
+                                    m.decoder.layer_spec(n_kv, n_views))
         assert fc.total == pytest.approx(analytic, rel=1e-12)
 
     def test_query_count_drops_by_k_squared(self):
@@ -252,13 +253,35 @@ class TestRayFeatures:
 
 
 class TestReusedKV:
-    """Without gradient recording, decode reuses the K/V of the last token tensor."""
+    """Every decode of a scene reads the K/V its encode projected."""
 
     @staticmethod
     def _setup(kind="raypatch", seed=1):
         m = M.LightFieldModel(tiny_cfg(), kind)
         inputs, targets = M.scene_to_views(scene_views(seed=seed))
         return m, inputs, targets
+
+    def test_a_scene_is_its_tokens(self):
+        m, inputs, _ = self._setup()
+        with T.no_grad():
+            z = m.encode(inputs)
+            tokens = m.encoder(inputs)
+        assert isinstance(z, T.Tensor) and z.shape == (4, 16)
+        np.testing.assert_array_equal(z.data, tokens.data)
+        assert len(z.kv) == len(m.decoder.blocks)
+
+    @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
+    def test_every_decode_runs_the_view_flops_only(self, kind):
+        m, inputs, targets = self._setup(kind)
+        n_kv = m.cfg.tokens_per_view()
+        kv = [layer for blk in m.decoder.blocks for layer in blk.mha.kv_cost(n_kv)]
+        view = full_model_flops(m.decoder.layer_spec(n_kv, 1)) - full_model_flops(kv)
+        with T.no_grad():
+            z = m.encode(inputs)
+            for t in targets + targets:
+                with flops.FlopCounter() as fc:
+                    m.decode(z, t.intrinsics, t.pose)
+                assert fc.total == pytest.approx(view, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["raypatch", "pixel"])
     def test_reused_decode_is_bit_equal_to_first_and_recorded(self, kind):
@@ -274,6 +297,27 @@ class TestReusedKV:
         T.tape_clear()
         np.testing.assert_array_equal(reused, first)
         np.testing.assert_array_equal(recorded, first)
+
+    def test_a_scene_keeps_the_gradient_mode_of_its_encode(self):
+        m, inputs, targets = self._setup()
+        t = targets[0]
+        named = dict(m.named_parameters())
+        for recorded in (False, True):
+            T.tape_clear()
+            for _, p in m.named_parameters():
+                p.grad = None
+            if recorded:
+                z = m.encode(inputs)
+            else:
+                with T.no_grad():
+                    z = m.encode(inputs)
+            assert z.requires_grad == recorded
+            assert all(a.requires_grad == recorded for pair in z.kv for a in pair)
+            total, _ = M.loss_total(m.decode(z, t.intrinsics, t.pose), t.image, t.depth)
+            T.backward(total)
+            assert named["dec.block0.mha.q.w"].grad is not None
+            for name in ("dec.block0.mha.k.w", "dec.block1.mha.v.b", "enc.conv0.conv.w"):
+                assert (named[name].grad is not None) == recorded, (name, recorded)
 
     def test_recorded_decode_after_no_grad_decode_gives_the_same_grads(self):
         grads = []
@@ -296,11 +340,26 @@ class TestReusedKV:
             assert g is not None, name
             np.testing.assert_array_equal(grads[1][name], g, err_msg=name)
 
-    def test_encode_after_weight_change_decodes_like_a_fresh_model(self):
+    def test_decode_after_a_kv_weight_change_reads_the_encode_time_kv(self):
+        # the K/V are a snapshot like the tokens: only a new encode sees new weights
         m, inputs, targets = self._setup()
         t = targets[0]
         with T.no_grad():
-            m.decode(m.encode(inputs), t.intrinsics, t.pose)  # fill the kept K/V
+            z = m.encode(inputs)
+            before = m.decode(z, t.intrinsics, t.pose).data
+        named = dict(m.named_parameters())
+        rng = np.random.default_rng(7)
+        for name in ("dec.block0.mha.k.w", "dec.block1.mha.v.b"):
+            named[name].data += rng.standard_normal(named[name].shape)
+        with T.no_grad():
+            after = m.decode(z, t.intrinsics, t.pose).data
+            again = m.decode(m.encode(inputs), t.intrinsics, t.pose).data
+        np.testing.assert_array_equal(after, before)
+        assert not np.allclose(again, before)
+
+    def test_encode_after_weight_change_decodes_like_a_fresh_model(self):
+        m, inputs, targets = self._setup()
+        t = targets[0]
         named = dict(m.named_parameters())
         rng = np.random.default_rng(7)
         for name in ("dec.block0.mha.k.w", "dec.block1.mha.v.b"):
@@ -313,7 +372,7 @@ class TestReusedKV:
             want = fresh.decode(fresh.encode(inputs), t.intrinsics, t.pose).data
         np.testing.assert_array_equal(got, want)
 
-    def test_keeps_one_scene(self):
+    def test_each_scene_decodes_with_its_own_kv(self):
         m, inputs_a, targets = self._setup(seed=1)
         inputs_b, _ = M.scene_to_views(scene_views(seed=2))
         t = targets[0]
@@ -402,6 +461,20 @@ class TestGradients:
             err = grad_check(f, named[name], step=1e-5)
             assert err <= 1e-4, f"{name}: rel err {err}"
 
+    @pytest.mark.parametrize("leaf", ["dec.block0.mha.v.b", "enc.block0.ln1.gamma"])
+    def test_gradcheck_over_two_targets_of_one_scene(self, leaf):
+        # both targets' K/V gradients sum in the scene before one projection backward
+        m = M.LightFieldModel(tiny_cfg(), "raypatch")
+        inputs, targets = M.scene_to_views(scene_views())
+        assert len(targets) == 2
+
+        def f(_leaf):
+            z = m.encode(inputs)
+            return T.add(*(M.loss_total(m.decode(z, t.intrinsics, t.pose), t.image, t.depth)[0]
+                           for t in targets))
+
+        assert grad_check(f, dict(m.named_parameters())[leaf], step=1e-5) <= 1e-4
+
     def test_end_to_end_gradcheck_first_conv_beta(self):
         # conv0's offset reaches the loss only through conv1's input gradient
         m = M.LightFieldModel(tiny_cfg(), "raypatch")
@@ -417,7 +490,7 @@ class TestGradients:
         t = targets[0]
 
         def render():
-            with T.no_grad():  # encode again: the kept K/V are a snapshot
+            with T.no_grad():  # encode again: a scene is a snapshot of the weights
                 return m.decode(m.encode(inputs), t.intrinsics, t.pose).data
 
         base = render()
@@ -482,13 +555,14 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak < 42 * 2**20, f"{peak / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("kind,most", [("raypatch", 149), ("pixel", 123)])
+    @pytest.mark.parametrize("kind,most", [("raypatch", 143), ("pixel", 117)])
     def test_train_step_forward_records_at_most(self, kind, most):
         # the forward of a step at 32x32 with the CLI's default model: encode
         # the input view, decode and score both targets, sum the losses. An
         # attention call is two records, the keys' transpose and the op,
         # whatever its head count; splitting the heads into separate ops
-        # would add 6 * heads per call.
+        # would add 6 * heads per call. Each decoder block's K/V are three
+        # records per encode; projected per decode they were 6 more.
         m = M.LightFieldModel(M.ModelConfig(height=32, width=32), kind)
         inputs, targets = M.scene_to_views(scene_views(32, 32))
         assert len(targets) == 2
