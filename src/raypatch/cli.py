@@ -78,7 +78,10 @@ def split_scenes(scenes):
 
 
 def run_training(dataset_path, decoder, steps, lr, log_every, **cfg_overrides):
-    """Train on a dataset file; returns (model, held-out metrics, CSV log rows)."""
+    """Train on a dataset file; returns (model, held-out metrics, CSV log rows).
+
+    A row is the mean over the steps since the row before it, written every
+    ``log_every`` steps and after the last step."""
     if steps < 0:
         raise ValueError(f"--steps must be at least 0, got {steps}")
     if not (math.isfinite(lr) and lr > 0):
@@ -103,7 +106,7 @@ def run_training(dataset_path, decoder, steps, lr, log_every, **cfg_overrides):
                 where = f"step {step}"
                 views = train_scenes[(step - 1) % len(train_scenes)]
                 window.append(M.train_step(model, views, opt))
-                if step % log_every == 0:
+                if step % log_every == 0 or step == steps:
                     loss = sum(m["loss"] for m in window) / len(window)
                     snr = sum(m["psnr"] for m in window) / len(window)
                     rows.append(f"{step},{loss:.6f},{snr:.3f}")

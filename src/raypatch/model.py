@@ -171,7 +171,8 @@ class Encoder:
     the origin's code, the same at every pixel, enters as ``conv2d``'s
     ``uniform`` vector. The weight is drawn with its channels in a query
     row's order (image, origin, direction) and reordered once, so a seed
-    gives the same model whichever order the conv reads.
+    gives the same model whichever order the conv reads. A view's map is
+    built in its own branch, so a serial encode holds one map at a time.
     """
 
     def __init__(self, cfg, rng):
@@ -187,32 +188,29 @@ class Encoder:
         self._view_flops = full_model_flops(self._view_layers())
 
     def __call__(self, views):
-        """views: iterable of (image [3,h,w], intrinsics, pose). Returns tokens [n, d].
+        """views: list of (image [3,h,w], intrinsics, pose). Returns tokens [n, d].
 
-        Each view's input is built first; the views' conv stacks are then
-        ``tensor._branches``, in parallel without recording when large enough."""
-        cfg = self.cfg
-        inputs = []
-        for image, intr, pose in views:
-            if np.shape(image) != (3, cfg.height, cfg.width):  # the copy below would broadcast
-                raise ValueError(f"input image must be [3, {cfg.height}, {cfg.width}], "
-                                 f"got {list(np.shape(image))}")
-            x = np.empty((3 + 6 * cfg.n_freq_dir, cfg.height, cfg.width))
-            x[:3] = image
-            ray_feature_map(intr, pose, cfg.height, cfg.width, cfg.n_freq_dir, out=x[3:])
-            inputs.append((T.Tensor(x), origin_code(pose, cfg.n_freq_origin)))
+        Each view is one ``tensor._branches`` branch, from the raw view to its
+        tokens, in parallel without recording when large enough."""
         with flops.stage("encoder_conv"):
-            tokens = T._branches(self._view_tokens, inputs, self._view_flops)
+            tokens = T._branches(self._view_tokens, views, self._view_flops)
         z = tokens[0] if len(tokens) == 1 else T.concat(tokens, axis=0)
         with flops.stage("encoder_attn"):
             for blk in self.blocks:
                 z = blk(z)
         return z
 
-    def _view_tokens(self, x, origin):
-        """One view's conv stack: the input map and its origin code -> tokens [n, d]."""
+    def _view_tokens(self, image, intr, pose):
+        """One view: its input map and origin code, then the conv stack -> tokens [n, d]."""
+        cfg = self.cfg
+        if np.shape(image) != (3, cfg.height, cfg.width):  # the copy below would broadcast
+            raise ValueError(f"input image must be [3, {cfg.height}, {cfg.width}], "
+                             f"got {list(np.shape(image))}")
+        x = np.empty((3 + 6 * cfg.n_freq_dir, cfg.height, cfg.width))
+        x[:3] = image
+        ray_feature_map(intr, pose, cfg.height, cfg.width, cfg.n_freq_dir, out=x[3:])
         first, *rest = self.convs
-        x = first(x, uniform=origin)
+        x = first(T.Tensor(x), uniform=origin_code(pose, cfg.n_freq_origin))
         for conv in rest:
             x = conv(x)
         c, hh, ww = x.shape

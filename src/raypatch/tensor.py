@@ -54,11 +54,11 @@ benchmark's peak RSS at 247-249 MiB against 260-262. Where there is no
 glibc ``mallopt`` nothing is set. No arithmetic depends on it.
 
 Branches: without gradient recording, ``_branches`` runs independent chains
-of ops (``attention``'s heads, K and V projections, encoder input views) on
-the caller's thread and on CPUs that BLAS leaves idle, when each chain has at
-least ``BRANCH_FLOPS``. Each chain runs the ops it runs serially, so results
-are bit-identical; recorded calls run serially, so the tape order is the
-serial one.
+of ops (``attention``'s heads, K and V projections, encoder views from the
+raw view to its tokens) on the caller's thread and on CPUs that BLAS leaves
+idle, when each chain has at least ``BRANCH_FLOPS``. Each chain runs the ops
+it runs serially, so results are bit-identical; recorded calls run serially,
+so the tape order is the serial one.
 """
 
 from __future__ import annotations

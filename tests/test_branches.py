@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,12 @@ class CountingPool:
     """A worker pool that counts what it is handed and runs it."""
 
     def __init__(self, pool):
-        self.pool, self.submitted = pool, 0
+        self.pool, self.submitted, self.futures = pool, 0, []
 
     def submit(self, fn):
         self.submitted += 1
-        return self.pool.submit(fn)
+        self.futures.append(self.pool.submit(fn))
+        return self.futures[-1]
 
 
 @pytest.fixture
@@ -282,6 +283,46 @@ class TestBranchedModel:
             with pytest.raises(T.NumericError, match="softmax_rows: non-finite input"):
                 m.encode(rig_inputs(16))
         assert branched.submitted > 0
+
+
+class TestViewBranches:
+    """Each encoder view is one branch, from the raw view to its tokens."""
+
+    def test_each_branch_calls_the_bound_ray_feature_map(self, branched, monkeypatch):
+        threads, ray_feature_map = [], M.ray_feature_map
+        both = threading.Barrier(2, timeout=10)
+
+        def counted(*args, **kw):
+            threads.append(threading.get_ident())
+            if len(threads) <= 2:
+                both.wait()  # the first two views, one on each thread
+            return ray_feature_map(*args, **kw)
+
+        monkeypatch.setattr(M, "ray_feature_map", counted)
+        m = M.LightFieldModel(tiny_cfg(), "raypatch")
+        with T.no_grad():
+            m.encode(rig_inputs(16))
+        assert len(threads) == 3 and threading.get_ident() in threads
+        assert len(set(threads)) == 2
+
+    def test_a_wrong_image_in_the_last_view_raises_from_the_worker(self, branched, monkeypatch):
+        caller, ray_feature_map = threading.get_ident(), M.ray_feature_map
+
+        def worker_first(*args, **kw):
+            if threading.get_ident() == caller:
+                wait(branched.futures, timeout=10)  # the worker takes the last view
+            return ray_feature_map(*args, **kw)
+
+        monkeypatch.setattr(M, "ray_feature_map", worker_first)
+        m = M.LightFieldModel(tiny_cfg(), "raypatch")
+        inputs = rig_inputs(16)
+        image, intr, pose = inputs[-1]
+        inputs[-1] = (image[:, :8], intr, pose)
+        with T.no_grad(), pytest.raises(
+                ValueError, match=r"^input image must be \[3, 16, 16\], got \[3, 8, 16\]$"):
+            m.encode(inputs)
+        assert branched.submitted == 1
+        assert isinstance(branched.futures[0].exception(), ValueError)
 
 
 def _branch_flops(monkeypatch, cfg, kind, views, decodes):

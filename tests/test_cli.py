@@ -114,6 +114,19 @@ class TestPipeline:
         assert logs[0] == logs[1]
         assert logs[0].startswith("step,loss,psnr\n")
 
+    def test_training_logs_the_last_partial_window(self, dataset, tmp_path, capsys):
+        def logged(every):
+            log = tmp_path / f"every{every}.csv"
+            args = self._train_args(dataset, tmp_path / "m.rpck", steps=7, log=log)
+            assert cli.main(args + ["--log-every", str(every)]) == cli.EXIT_OK
+            return [row.split(",") for row in log.read_text().splitlines()[1:]]
+
+        rows, each = logged(5), logged(1)
+        assert [row[0] for row in rows] == ["5", "7"]
+        # the step-7 row is the mean of steps 6 and 7 alone
+        assert float(rows[1][1]) == pytest.approx(
+            (float(each[5][1]) + float(each[6][1])) / 2, abs=1e-6)
+
     def test_render_and_verify(self, dataset, tmp_path, capsys):
         out = tmp_path / "m.rpck"
         assert cli.main(self._train_args(dataset, out, steps=20)) == cli.EXIT_OK

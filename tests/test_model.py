@@ -245,11 +245,36 @@ class TestRayFeatures:
         np.testing.assert_array_equal(
             w, np.concatenate([drawn[..., :3], drawn[..., 21:], drawn[..., 3:21]], axis=3))
 
-    def test_rejects_an_image_of_the_wrong_shape(self):
-        view = scene_views()[0]
-        with pytest.raises(ValueError, match=r"input image must be \[3, 8, 8\], got \[1, 8, 8\]"):
-            M.LightFieldModel(tiny_cfg(), "raypatch").encode(
-                [(view.image[:1], view.intrinsics, view.pose)])
+    @pytest.mark.parametrize("n_views", [1, 3])
+    def test_rejects_an_image_of_the_wrong_shape(self, n_views):
+        inputs = [(v.image, v.intrinsics, v.pose) for v in scene_views()[:n_views]]
+        image, intr, pose = inputs[-1]
+        inputs[-1] = (image[:1], intr, pose)  # the last view's
+        with pytest.raises(ValueError, match=r"^input image must be \[3, 8, 8\], got \[1, 8, 8\]$"):
+            M.LightFieldModel(tiny_cfg(), "raypatch").encode(inputs)
+
+    def test_a_serial_encode_holds_one_input_map_at_a_time(self, monkeypatch):
+        """Each view builds its input map in its own branch, so a 3-view
+        encode peaks less than one map above a 1-view encode."""
+        tracemalloc = pytest.importorskip("tracemalloc")
+        monkeypatch.setattr(T, "_SPARE", 0)
+        cfg = M.ModelConfig(height=32, width=32)
+        m = M.LightFieldModel(cfg, "raypatch")
+        inputs = [(v.image, v.intrinsics, v.pose) for v in scene_views(32, 32)]
+
+        def peak(views):
+            with T.no_grad():
+                m.encode(views)  # the rig's rays are built on the first encode
+                tracemalloc.start()
+                try:
+                    m.encode(views)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert len(inputs) == 3
+        input_map = (3 + 6 * cfg.n_freq_dir) * cfg.height * cfg.width * 8
+        assert peak(inputs) - peak(inputs[:1]) < input_map
 
 
 class TestReusedKV:
